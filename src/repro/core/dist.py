@@ -2,11 +2,14 @@
 
 The ROADMAP's north-star graphs do not fit one device, so this module
 ports the two rework-style colorings to the multi-device cost model
-(`repro.gpusim.cluster`): the graph is split by a deterministic
-partitioner (`repro.graph.partition`), each simulated device executes
-the superstep kernels over its own partition, and devices meet at a
-cluster barrier where boundary colors cross the interconnect as halo
-messages and fast devices stall for the slowest one.
+(`repro.gpusim.cluster`): a deterministic partitioner
+(`repro.graph.partition`) assigns every vertex an owning device, each
+simulated device executes the superstep kernels over the vertices it
+owns, and devices meet at a cluster barrier where boundary colors cross
+the interconnect as halo messages and fast devices stall for the
+slowest one.  The supersteps read only the owner map and the per-vertex
+boundary flags; per-device work is tallied once per superstep with one
+``bincount`` over the owner map, never by k masked passes.
 
 Algorithm semantics are *device-count invariant by construction*: every
 device draws the same per-iteration random keys (seed-replicated, as in
@@ -46,8 +49,9 @@ from ..errors import ColoringError
 from ..gpusim.cluster import ClusterCostModel, ClusterSpec, InterconnectSpec
 from ..gpusim.device import DeviceSpec
 from ..graph.csr import CSRGraph
-from ..graph.partition import GraphPartition, partition_graph
+from ..graph.partition import boundary_flags, partition_owner
 from ..trace import span_phase, tag_iteration
+from .keys import strict_keys
 from .result import ColoringResult
 
 __all__ = [
@@ -59,16 +63,6 @@ __all__ = [
 #: Wire size of one boundary-color update: a global vertex id plus its
 #: color, both int64.
 HALO_BYTES_PER_VERTEX = 16
-
-
-def _fresh_keys(n: int, gen) -> np.ndarray:
-    """Fresh strict-total-order random keys (id-based tie break) —
-    the same draw as :func:`repro.core.naumov._fresh_keys`, so the
-    1-device path replays naumov.jpl's exact key sequence."""
-    return (
-        gen.integers(1, 2**31, size=n, dtype=np.int64) * np.int64(n + 1)
-        + np.arange(n, dtype=np.int64)
-    )
 
 
 def _make_cluster(
@@ -84,20 +78,15 @@ def _make_cluster(
     return ClusterCostModel(ClusterSpec.homogeneous(num_devices, **kwargs))
 
 
-def _device_views(graph: CSRGraph, partition: GraphPartition):
-    """Per-device global-id masks/arrays the superstep loops reuse:
-    ``(owned_masks, boundary_masks, owned_ids)``."""
-    n = graph.num_vertices
-    owned_masks, boundary_masks, owned_ids = [], [], []
-    for part in partition.parts:
-        owned = np.zeros(n, dtype=bool)
-        owned[part.local_ids] = True
-        boundary = np.zeros(n, dtype=bool)
-        boundary[part.local_ids[part.boundary]] = True
-        owned_masks.append(owned)
-        boundary_masks.append(boundary)
-        owned_ids.append(part.local_ids)
-    return owned_masks, boundary_masks, owned_ids
+def _per_device(owner, ndev, mask, weights=None) -> list:
+    """Per-device count of the ``mask``ed vertices — or the sum of
+    their ``weights`` — as exact Python ints, in one bincount.  Weight
+    sums are nonnegative integers below 2**53, so the float64
+    accumulation is exact."""
+    if weights is None:
+        return np.bincount(owner[mask], minlength=ndev).tolist()
+    sums = np.bincount(owner[mask], weights=weights[mask], minlength=ndev)
+    return [int(x) for x in sums]
 
 
 def distributed_jpl_coloring(
@@ -121,8 +110,9 @@ def distributed_jpl_coloring(
     n = graph.num_vertices
     gen = ensure_rng(rng)
     cluster = _make_cluster(num_devices, device, interconnect)
-    partition = partition_graph(graph, num_devices, method=partitioner)
-    owned_masks, boundary_masks, _ = _device_views(graph, partition)
+    ndev = cluster.num_devices
+    owner = partition_owner(graph, ndev, method=partitioner)
+    boundary = boundary_flags(graph, owner)
     degrees = graph.degrees
 
     colors = np.zeros(n, dtype=np.int64)
@@ -134,27 +124,25 @@ def distributed_jpl_coloring(
         if iterations > 2 * n + 16:
             raise ColoringError("dist.jpl failed to converge")
         iterations += 1
-        keys = _fresh_keys(n, gen)
+        keys = strict_keys(n, gen)
         nmax, _ = _backend.current().active_extrema(
             graph.offsets, graph.indices, keys, active
         )
         winners = active & (keys > nmax)
         colors[winners] = iterations
-        halo_bytes = []
-        for d in range(cluster.num_devices):
+        n_active = _per_device(owner, ndev, active)
+        n_arcs = _per_device(owner, ndev, active, degrees)
+        n_halo = _per_device(owner, ndev, winners & boundary)
+        for d in range(ndev):
             cm = cluster.device(d)
-            owned = owned_masks[d]
-            local_active = active & owned
-            n_local_active = int(local_active.sum())
             tag_iteration(cm.trace, iterations - 1)
             with span_phase(cm.trace, "superstep"):
-                cm.charge_map(n_local_active, name="rand_kernel")
-                local_arcs = int(degrees[local_active].sum())
-                cm.charge_edge_balanced(
-                    local_arcs, name="jpl_kernel", eff=1.85
-                )
+                cm.charge_map(n_active[d], name="rand_kernel")
+                cm.charge_edge_balanced(n_arcs[d], name="jpl_kernel", eff=1.85)
                 san = cm.sanitizer
                 if san is not None:
+                    owned = owner == d
+                    local_active = active & owned
                     src_arcs = np.repeat(np.arange(n, dtype=np.int64), degrees)
                     arc_mask = local_active[src_arcs]
                     with san.kernel("dist_jpl_kernel") as k:
@@ -172,19 +160,11 @@ def distributed_jpl_coloring(
                         ghost_upd = np.flatnonzero(winners & ~owned)
                         k.read("colors", ghost_upd, lane=ghost_upd)
                         k.write("ghost_colors", ghost_upd, lane=ghost_upd)
-                cm.charge_reduce(n_local_active, name="done_check")
+                cm.charge_reduce(n_active[d], name="done_check")
                 cm.charge_sync(name="iter_sync")
-            halo_bytes.append(
-                HALO_BYTES_PER_VERTEX
-                * int((winners & boundary_masks[d]).sum())
-            )
-        cluster.barrier(halo_bytes)
+        cluster.barrier([HALO_BYTES_PER_VERTEX * h for h in n_halo])
 
-    algorithm = (
-        "dist.jpl"
-        if cluster.num_devices == 1
-        else f"dist.jpl[d={cluster.num_devices}]"
-    )
+    algorithm = "dist.jpl" if ndev == 1 else f"dist.jpl[d={ndev}]"
     return ColoringResult(
         colors=colors,
         algorithm=algorithm,
@@ -220,18 +200,15 @@ def distributed_speculative_coloring(
     n = graph.num_vertices
     gen = ensure_rng(rng)
     cluster = _make_cluster(num_devices, device, interconnect)
-    partition = partition_graph(graph, num_devices, method=partitioner)
-    owned_masks, boundary_masks, _ = _device_views(graph, partition)
+    ndev = cluster.num_devices
+    owner = partition_owner(graph, ndev, method=partitioner)
+    boundary = boundary_flags(graph, owner)
     degrees = graph.degrees
     be = _backend.current()
 
-    prio = gen.integers(1, 2**31, size=n, dtype=np.int64) * np.int64(
-        n + 1
-    ) + np.arange(n, dtype=np.int64)
-    for d in range(cluster.num_devices):
-        cluster.device(d).charge_map(
-            int(owned_masks[d].sum()), name="init_random"
-        )
+    prio = strict_keys(n, gen)
+    for d, n_owned in enumerate(np.bincount(owner, minlength=ndev).tolist()):
+        cluster.device(d).charge_map(n_owned, name="init_random")
     cluster.barrier()
 
     colors = np.zeros(n, dtype=np.int64)
@@ -251,40 +228,31 @@ def distributed_speculative_coloring(
         losers = be.conflict_losers(src_all, graph.indices, colors, prio, active)
         loser_mask = np.zeros(n, dtype=bool)
         loser_mask[losers] = True
-        speculate_bytes, resolve_bytes = [], []
-        for d in range(cluster.num_devices):
+        n_arcs = _per_device(owner, ndev, active, degrees)
+        n_speculate = _per_device(owner, ndev, active & boundary)
+        n_resolve = _per_device(owner, ndev, loser_mask & boundary)
+        for d in range(ndev):
             cm = cluster.device(d)
-            owned = owned_masks[d]
-            local_active = active & owned
-            local_arcs = int(degrees[local_active].sum())
             tag_iteration(cm.trace, rounds - 1)
             with span_phase(cm.trace, "superstep"):
-                cm.charge_edge_balanced(
-                    local_arcs, name="speculate_kernel", eff=2.0
-                )
+                cm.charge_edge_balanced(n_arcs[d], name="speculate_kernel", eff=2.0)
                 san = cm.sanitizer
                 if san is not None:
                     with san.kernel("dist_speculate_kernel") as k:
                         # Each active owned vertex gathers its row's
                         # forbidden colors and writes its own slot.
-                        dids = np.flatnonzero(local_active)
+                        dids = np.flatnonzero(active & (owner == d))
                         k.read("colors_snapshot", dids, lane=dids)
                         k.write("colors", dids, lane=dids)
                 cm.charge_sync(name="speculate_sync")
-            speculate_bytes.append(
-                HALO_BYTES_PER_VERTEX
-                * int((local_active & boundary_masks[d]).sum())
-            )
-        cluster.barrier(speculate_bytes, name="halo_exchange")
-        for d in range(cluster.num_devices):
+        cluster.barrier(
+            [HALO_BYTES_PER_VERTEX * h for h in n_speculate],
+            name="halo_exchange",
+        )
+        for d in range(ndev):
             cm = cluster.device(d)
-            owned = owned_masks[d]
-            local_active = active & owned
-            local_arcs = int(degrees[local_active].sum())
             with span_phase(cm.trace, "superstep"):
-                cm.charge_edge_balanced(
-                    local_arcs, name="conflict_kernel", eff=1.0
-                )
+                cm.charge_edge_balanced(n_arcs[d], name="conflict_kernel", eff=1.0)
                 san = cm.sanitizer
                 if san is not None:
                     with san.kernel("boundary_resolve_kernel") as k:
@@ -292,24 +260,21 @@ def distributed_speculative_coloring(
                         # the clash; the agreed loser is uncolored with
                         # an atomic exchange (either side may win the
                         # store — the value is identical).
-                        dlose = np.flatnonzero(loser_mask & owned)
+                        dlose = np.flatnonzero(loser_mask & (owner == d))
                         k.read("prio", dlose, lane=dlose)
                         k.write("colors", dlose, atomic=True)
                 cm.charge_sync(name="conflict_sync")
-            resolve_bytes.append(
-                HALO_BYTES_PER_VERTEX
-                * int((loser_mask & owned & boundary_masks[d]).sum())
-            )
-        cluster.barrier(resolve_bytes, name="boundary_resolve")
+        cluster.barrier(
+            [HALO_BYTES_PER_VERTEX * h for h in n_resolve],
+            name="boundary_resolve",
+        )
         final |= active
         if len(losers):
             colors[losers] = 0
             final[losers] = False
 
     algorithm = (
-        "dist.speculative"
-        if cluster.num_devices == 1
-        else f"dist.speculative[d={cluster.num_devices}]"
+        "dist.speculative" if ndev == 1 else f"dist.speculative[d={ndev}]"
     )
     return ColoringResult(
         colors=colors,

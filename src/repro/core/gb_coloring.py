@@ -65,6 +65,7 @@ from ..graphblas import (
     vxm,
 )
 from ..trace import span_phase, tag_iteration
+from .keys import strict_keys, tie_break
 from .result import ColoringResult
 
 __all__ = [
@@ -88,11 +89,10 @@ def _init_weights(n: int, gen, *, degrees: Optional[np.ndarray] = None) -> Vecto
     many neighbors"); otherwise uniform random.  Vertex ids break ties
     either way.
     """
-    if degrees is not None:
-        base = np.asarray(degrees, dtype=np.int64) + 1
-    else:
-        base = gen.integers(1, 2**31, size=n, dtype=np.int64)
-    return Vector.from_dense(base * np.int64(n + 1) + np.arange(n, dtype=np.int64))
+    if degrees is None:
+        return Vector.from_dense(strict_keys(n, gen))
+    base = np.asarray(degrees, dtype=np.int64) + 1
+    return Vector.from_dense(tie_break(base, int(base.max(initial=1))))
 
 
 def _find_frontier(

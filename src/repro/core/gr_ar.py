@@ -33,7 +33,7 @@ from ..gunrock import (
     filter_frontier,
     neighbor_reduce,
 )
-from .gr_is import _tie_broken_keys
+from .keys import strict_keys
 from .result import ColoringResult
 
 __all__ = ["gunrock_ar_coloring"]
@@ -61,7 +61,7 @@ def gunrock_ar_coloring(
     def iteration(it: int) -> bool:
         nonlocal frontier
         # Fresh randomness per iteration, matching the other variants.
-        keys = _tie_broken_keys(n, gen)
+        keys = strict_keys(n, gen)
         cost.charge_map(len(frontier), name="rand_kernel")
         san = cost.sanitizer
         if san is not None:

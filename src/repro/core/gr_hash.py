@@ -38,7 +38,7 @@ from ..gpusim.device import DeviceSpec
 from ..graph.csr import CSRGraph
 from ..gunrock import Enactor, Frontier, GunrockContext, compute, filter_frontier
 from ..trace import span_phase
-from .gr_is import _tie_broken_keys
+from .keys import strict_keys
 from .result import ColoringResult
 
 __all__ = ["gunrock_hash_coloring"]
@@ -73,7 +73,7 @@ def gunrock_hash_coloring(
 
     colors = np.zeros(n, dtype=np.int64)
     # Proposal priorities; redrawn every iteration like the IS variant.
-    keys = _tie_broken_keys(n, gen)
+    keys = strict_keys(n, gen)
     # Per-vertex hash table of prohibited (= seen-on-neighbor) colors;
     # 0 marks an empty slot.  hash_size == 0 disables reuse entirely.
     table = np.zeros((n, max(hash_size, 1)), dtype=np.int64)
@@ -219,7 +219,7 @@ def gunrock_hash_coloring(
 
     def iteration(it: int) -> bool:
         nonlocal frontier, keys
-        keys = _tie_broken_keys(n, gen)
+        keys = strict_keys(n, gen)
         cost.charge_map(len(frontier), name="rand_kernel")
         san = cost.sanitizer
         if san is not None:

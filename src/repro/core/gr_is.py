@@ -26,25 +26,15 @@ import numpy as np
 
 from .. import backend as _backend
 from .._clock import wall_timer
-from .._rng import RngLike, ensure_rng, random_weights
+from .._rng import RngLike, ensure_rng
 from ..gpusim.cost_model import CostModel
 from ..gpusim.device import DeviceSpec
 from ..graph.csr import CSRGraph
 from ..gunrock import Enactor, Frontier, GunrockContext, compute, filter_frontier
+from .keys import strict_keys
 from .result import ColoringResult
 
 __all__ = ["gunrock_is_coloring"]
-
-
-def _tie_broken_keys(n: int, rng) -> np.ndarray:
-    """Random priorities made strict by appending the vertex id.
-
-    Random 31-bit draws collide on large graphs; a tie between adjacent
-    local maxima would stall the algorithm, so the comparison key is
-    ``weight * (n+1) + id`` — still uniformly random ordering, never
-    equal.
-    """
-    return random_weights(n, rng) * np.int64(n + 1) + np.arange(n, dtype=np.int64)
 
 
 def _neighbor_extrema(
@@ -85,7 +75,7 @@ def gunrock_is_coloring(
         # re-randomize like Naumov's JPL so the independent-set rate per
         # round matches the comparator — the min-max amortization claim
         # is unaffected, and color counts become directly comparable).
-        keys = _tie_broken_keys(n, gen)
+        keys = strict_keys(n, gen)
         cost.charge_map(len(frontier), name="rand_kernel")
         san = cost.sanitizer
         if san is not None:

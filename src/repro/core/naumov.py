@@ -34,17 +34,10 @@ from ..gpusim.cost_model import CostModel
 from ..gpusim.device import DeviceSpec
 from ..graph.csr import CSRGraph
 from ..trace import span_phase, tag_iteration
+from .keys import strict_keys
 from .result import ColoringResult
 
 __all__ = ["naumov_jpl_coloring", "naumov_cc_coloring"]
-
-
-def _fresh_keys(n: int, gen) -> np.ndarray:
-    """Fresh strict-total-order random keys (id-based tie break)."""
-    return (
-        gen.integers(1, 2**31, size=n, dtype=np.int64) * np.int64(n + 1)
-        + np.arange(n, dtype=np.int64)
-    )
 
 
 def _active_extrema(graph: CSRGraph, keys: np.ndarray, active: np.ndarray):
@@ -127,7 +120,7 @@ def naumov_jpl_coloring(
         iterations += 1
         tag_iteration(cost.trace, iterations - 1)
         with span_phase(cost.trace, "superstep"):
-            keys = _fresh_keys(n, gen)
+            keys = strict_keys(n, gen)
             cost.charge_map(n_active, name="rand_kernel")
             # Hardwired load-balanced kernel over the arcs of active vertices.
             active_arcs = int(graph.degrees[active].sum())
@@ -213,7 +206,7 @@ def naumov_cc_coloring(
             san = cost.sanitizer
             sweep_writes = []
             for k in range(num_hashes):
-                keys = _fresh_keys(n, gen)
+                keys = strict_keys(n, gen)
                 if compressed is not None:
                     nmax, nmin = _snapshot_extrema(keys, compressed, n)
                 else:

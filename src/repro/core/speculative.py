@@ -30,6 +30,7 @@ from ..errors import ColoringError
 from ..gpusim.cost_model import CostModel
 from ..gpusim.device import DeviceSpec
 from ..graph.csr import CSRGraph
+from .keys import strict_keys
 from .result import ColoringResult
 
 __all__ = ["speculative_gpu_coloring"]
@@ -61,9 +62,7 @@ def speculative_gpu_coloring(
     gen = ensure_rng(rng)
     cost = CostModel(device)
     # Static random priorities arbitrate conflicts.
-    prio = gen.integers(1, 2**31, size=n, dtype=np.int64) * np.int64(n + 1) + np.arange(
-        n, dtype=np.int64
-    )
+    prio = strict_keys(n, gen)
     cost.charge_map(n, name="init_random")
 
     colors = np.zeros(n, dtype=np.int64)

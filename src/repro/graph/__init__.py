@@ -23,8 +23,10 @@ from .partition import (
     DevicePartition,
     GraphPartition,
     block_partition,
+    boundary_flags,
     edge_cut_partition,
     partition_graph,
+    partition_owner,
 )
 from .stats import GraphStats, degree_histogram, graph_stats
 from .traversal import (
@@ -50,8 +52,10 @@ __all__ = [
     "DevicePartition",
     "GraphPartition",
     "block_partition",
+    "boundary_flags",
     "edge_cut_partition",
     "partition_graph",
+    "partition_owner",
     "GraphStats",
     "graph_stats",
     "degree_histogram",

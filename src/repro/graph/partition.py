@@ -1,10 +1,14 @@
 """Deterministic graph partitioners for the multi-device cost model.
 
-A distributed coloring run (``repro.core.dist``) gives each simulated
-device one :class:`DevicePartition`: the vertices it *owns*, a local
-CSR over a compact ``[owned | ghost]`` index space, and the ghost maps
-needed to mirror boundary colors after every halo exchange — the
-partitioned-CSR layout of Bogle & Slota's distributed coloring work.
+The distributed colorings (``repro.core.dist``) consume only two
+vectors: the vertex → device owner map (:func:`partition_owner`) and
+a per-vertex boundary flag (:func:`boundary_flags`).
+:func:`partition_graph` materializes the full reference layout on top
+of them — per device, one :class:`DevicePartition`: the vertices it
+*owns*, a local CSR over a compact ``[owned | ghost]`` index space,
+and the ghost maps needed to mirror boundary colors after every halo
+exchange — the partitioned-CSR layout of Bogle & Slota's distributed
+coloring work.
 
 Two partitioners are provided, both pure functions of the graph and
 the device count (no RNG anywhere, so a partition is byte-stable
@@ -44,8 +48,10 @@ __all__ = [
     "DevicePartition",
     "GraphPartition",
     "block_partition",
+    "boundary_flags",
     "edge_cut_partition",
     "partition_graph",
+    "partition_owner",
     "PARTITION_METHODS",
 ]
 
@@ -190,24 +196,44 @@ def edge_cut_partition(graph: CSRGraph, num_devices: int) -> np.ndarray:
     return owner
 
 
-def partition_graph(
+def partition_owner(
     graph: CSRGraph, num_devices: int, *, method: str = "block"
-) -> GraphPartition:
-    """Partition ``graph`` across ``num_devices`` simulated devices.
-
-    Returns a :class:`GraphPartition` with one :class:`DevicePartition`
-    per device.  Deterministic: equal inputs yield byte-equal owner
-    maps, local CSRs, and ghost tables.
-    """
+) -> np.ndarray:
+    """Owner map ``int64[n]`` (owning device per global vertex) of the
+    ``method`` partitioner — all the distributed colorings need besides
+    :func:`boundary_flags`."""
     if method not in PARTITION_METHODS:
         raise GraphError(
             f"unknown partition method {method!r}; "
             f"expected one of {PARTITION_METHODS}"
         )
     if method == "block":
-        owner = block_partition(graph, num_devices)
-    else:
-        owner = edge_cut_partition(graph, num_devices)
+        return block_partition(graph, num_devices)
+    return edge_cut_partition(graph, num_devices)
+
+
+def boundary_flags(graph: CSRGraph, owner: np.ndarray) -> np.ndarray:
+    """``bool[n]``: the vertex is the source of at least one cut arc
+    (an arc to a vertex on another device)."""
+    src, dst = graph.arcs()
+    flags = np.zeros(graph.num_vertices, dtype=bool)
+    flags[src[owner[src] != owner[dst]]] = True
+    return flags
+
+
+def partition_graph(
+    graph: CSRGraph, num_devices: int, *, method: str = "block"
+) -> GraphPartition:
+    """Partition ``graph`` across ``num_devices`` simulated devices.
+
+    Returns a :class:`GraphPartition` with one :class:`DevicePartition`
+    per device — the materialized partitioned-CSR layout, built on
+    :func:`partition_owner` and :func:`boundary_flags`.  Deterministic:
+    equal inputs yield byte-equal owner maps, local CSRs, and ghost
+    tables.
+    """
+    owner = partition_owner(graph, num_devices, method=method)
+    flags = boundary_flags(graph, owner)
     n = graph.num_vertices
     src, dst = graph.arcs()
     parts = []
@@ -229,15 +255,13 @@ def partition_graph(
             undirected=False,
             name=f"{graph.name or 'graph'}@{d}/{num_devices}",
         )
-        boundary = np.zeros(len(local_ids), dtype=bool)
-        boundary[to_local[s[remote]]] = True
         parts.append(
             DevicePartition(
                 device=d,
                 local_ids=local_ids,
                 ghost_ids=ghost_ids,
                 local_graph=local_graph,
-                boundary=boundary,
+                boundary=flags[local_ids],
             )
         )
     return GraphPartition(

@@ -30,6 +30,7 @@ in-process.
 from __future__ import annotations
 
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Optional
@@ -122,8 +123,15 @@ def cache_path(
 
 
 def _atomic_save(graph: CSRGraph, path: Path) -> None:
-    """Publish a snapshot atomically (safe under concurrent writers)."""
-    tmp = path.with_name(f"{path.stem}.{os.getpid()}.tmp.npz")
+    """Publish a snapshot atomically (safe under concurrent writers).
+
+    The temp name is unique per writer — process *and* thread — so two
+    serve threads filling one cold entry never unlink each other's
+    in-progress file.
+    """
+    tmp = path.with_name(
+        f"{path.stem}.{os.getpid()}.{threading.get_ident()}.tmp.npz"
+    )
     try:
         save_npz(graph, tmp)
         os.replace(tmp, path)

@@ -2,9 +2,11 @@
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
+from repro.graph.io import load_npz
 from repro.harness import cache, datasets as ds
 from repro.harness.cache import (
     GENERATOR_VERSION,
@@ -181,6 +183,32 @@ class TestConcurrentWriters:
         # and the surviving entry is readable
         g = load_cached("ecology2", scale_div=512, seed=6)
         assert (g.num_vertices, g.num_edges, int(g.indices.sum())) == sigs[0]
+
+    def test_racing_threads_agree(self):
+        """Eight threads of one process publishing the same entry at
+        once (serve's cold-miss case) all succeed, and the entry loads."""
+        graph = ds.generate("ecology2", scale_div=64, seed=5)
+        path = cache_path("ecology2", 64, 5)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        start = threading.Barrier(8, timeout=30)
+        errors = []
+
+        def writer():
+            start.wait()
+            try:
+                cache._atomic_save(graph, path)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert load_npz(path) == graph
+        assert not list(cache_dir().glob("*.tmp.npz"))
 
     def test_atomic_save_leaves_no_temp(self):
         warm("offshore", scale_div=512, seed=1)

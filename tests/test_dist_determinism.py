@@ -9,7 +9,9 @@ The distributed contract under test, end to end:
 * the grid runner reproduces distributed cells **bit-identically**
   under ``jobs>1`` and under journaled ``resume=True``;
 * activating metrics or tracing does not move a single bit;
-* every loadable kernel-execution backend agrees with reference.
+* every loadable kernel-execution backend agrees with reference;
+* the ``edge_cut`` partitioner computes the same colors as ``block``,
+  and its halo traffic matches the materialized partition's boundary.
 
 The golden wall (``test_golden_dist.py``) pins three fixed graphs; this
 suite quantifies the same guarantees over hypothesis-generated graphs
@@ -24,8 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import available_backends, resolve, use
+from repro.core.dist import HALO_BYTES_PER_VERTEX
 from repro.core.registry import run_algorithm
 from repro.core.validate import is_valid_coloring
+from repro.graph.partition import partition_graph
+from repro.harness import datasets as ds
 from repro.harness import faults
 from repro.harness.runner import run_grid
 from repro.metrics import activate as metrics_activate
@@ -108,6 +113,65 @@ def test_backends_bit_identical(petersen, impl, backend_name):
     with use(resolve(backend_name)):
         other = _fingerprint(impl, petersen, num_devices=4)
     assert other == ref
+
+
+class TestEdgeCutPartitioner:
+    @pytest.fixture(scope="class")
+    def rgg(self):
+        return ds.generate("rgg_n_2_8_s0", seed=3)
+
+    @staticmethod
+    def _halo_work(result):
+        """Per-device ``halo_exchange`` record work, in charge order."""
+        out = {}
+        for r in result.counters.records:
+            if r.kind == "halo" and r.name == "halo_exchange":
+                out.setdefault(r.device, []).append(r.work)
+        return out
+
+    @staticmethod
+    def _boundary_counts(graph, k):
+        part = partition_graph(graph, k, method="edge_cut")
+        return {p.device: int(p.boundary.sum()) for p in part.parts}
+
+    @pytest.mark.parametrize("k", (2, 4))
+    @pytest.mark.parametrize("impl", DIST_ALGORITHMS)
+    def test_colors_match_block_and_single_device(self, rgg, impl, k):
+        single = run_algorithm(f"{impl}@d1", rgg, rng=11)
+        block = run_algorithm(impl, rgg, rng=11, num_devices=k)
+        cut = run_algorithm(
+            impl, rgg, rng=11, num_devices=k, partitioner="edge_cut"
+        )
+        assert cut.is_complete and is_valid_coloring(rgg, cut.colors)
+        assert cut.colors.tobytes() == block.colors.tobytes()
+        assert cut.colors.tobytes() == single.colors.tobytes()
+        assert cut.iterations == block.iterations == single.iterations
+
+    @pytest.mark.parametrize("k", (2, 4))
+    def test_jpl_halo_work_is_boundary_bytes(self, rgg, k):
+        # Every vertex wins exactly one JPL superstep, so a device's
+        # halo traffic over the run is one message per boundary vertex.
+        result = run_algorithm(
+            "dist.jpl", rgg, rng=11, num_devices=k, partitioner="edge_cut"
+        )
+        halo = self._halo_work(result)
+        for d, nb in self._boundary_counts(rgg, k).items():
+            assert sum(halo[d]) == HALO_BYTES_PER_VERTEX * nb
+
+    @pytest.mark.parametrize("k", (2, 4))
+    def test_speculative_first_halo_is_boundary_bytes(self, rgg, k):
+        # Round 1 speculates every vertex, so its halo exchange carries
+        # exactly one message per boundary vertex of each device.
+        result = run_algorithm(
+            "dist.speculative",
+            rgg,
+            rng=11,
+            num_devices=k,
+            partitioner="edge_cut",
+        )
+        halo = self._halo_work(result)
+        for d, nb in self._boundary_counts(rgg, k).items():
+            assert halo[d][0] == HALO_BYTES_PER_VERTEX * nb
 
 
 def _identity_fields(cell):

@@ -14,6 +14,9 @@ halo exchange, so their structural invariants are load-bearing:
   per-device structures.
 * **Boundary correctness** — a local vertex is flagged boundary iff it
   has at least one remote neighbor.
+* **Lean path agreement** — the owner map and boundary flags the
+  distributed colorings consume (:func:`partition_owner`,
+  :func:`boundary_flags`) equal the materialized partition's.
 
 Each property is quantified over hypothesis-generated graphs, both
 methods, and a sweep of device counts.
@@ -30,8 +33,10 @@ from repro.errors import GraphError
 from repro.graph.partition import (
     PARTITION_METHODS,
     block_partition,
+    boundary_flags,
     edge_cut_partition,
     partition_graph,
+    partition_owner,
 )
 
 from _strategies import graphs
@@ -134,6 +139,23 @@ def test_boundary_flags_exactly_cut_sources(method, gk):
     assert part.cut_arcs == cut
 
 
+@pytest.mark.parametrize("method", PARTITION_METHODS)
+@settings(max_examples=60, deadline=None)
+@given(gk=graph_and_k())
+def test_owner_and_boundary_flags_match_materialized_partition(method, gk):
+    graph, k = gk
+    part = partition_graph(graph, k, method=method)
+    owner = partition_owner(graph, k, method=method)
+    assert owner.dtype == np.int64
+    assert owner.tobytes() == part.owner.tobytes()
+    flags = boundary_flags(graph, owner)
+    assert flags.shape == (graph.num_vertices,)
+    expected = np.zeros(graph.num_vertices, dtype=bool)
+    for p in part.parts:
+        expected[p.local_ids[p.boundary]] = True
+    assert np.array_equal(flags, expected)
+
+
 @settings(max_examples=30, deadline=None)
 @given(gk=graph_and_k())
 def test_block_partition_is_contiguous(gk):
@@ -172,3 +194,7 @@ def test_invalid_device_counts_raise(petersen):
             partition_graph(petersen, k)
     with pytest.raises(GraphError):
         partition_graph(petersen, 2, method="metis")  # unknown method
+    with pytest.raises(GraphError):
+        partition_owner(petersen, 2, method="metis")
+    with pytest.raises(GraphError):
+        partition_owner(petersen, 0)

@@ -5,6 +5,8 @@ import pytest
 
 from repro import errors
 from repro._rng import DEFAULT_SEED, ensure_rng, random_weights, spawn
+from repro.core import keys
+from repro.core.keys import MAX_RANDOM_WEIGHT, strict_keys, tie_break
 
 
 class TestEnsureRng:
@@ -53,6 +55,38 @@ class TestRandomWeights:
     def test_custom_dtype(self):
         w = random_weights(10, rng=0, dtype=np.int32)
         assert w.dtype == np.int32
+
+
+class TestStrictKeys:
+    def test_same_draw_as_weights_times_n_plus_one_plus_id(self):
+        n = 50
+        expected = ensure_rng(3).integers(
+            1, 2**31, size=n, dtype=np.int64
+        ) * np.int64(n + 1) + np.arange(n, dtype=np.int64)
+        assert strict_keys(n, ensure_rng(3)).tobytes() == expected.tobytes()
+
+    def test_keys_are_distinct_and_order_by_weight(self):
+        w = np.array([5, 5, 1, 9], dtype=np.int64)
+        order = tie_break(w, 9)
+        assert len(set(order.tolist())) == 4
+        assert list(np.argsort(order)) == [2, 0, 1, 3]
+
+    def test_random_bound_is_n_plus_one_at_most_2_pow_32(self):
+        # The guard runs before the draw, so probing at the bound
+        # allocates nothing.
+        with pytest.raises(errors.ColoringError, match=r"n \+ 1 <= 2\*\*32"):
+            strict_keys(2**32, ensure_rng(0))
+        # n + 1 == 2**32 is the largest safe size: its largest possible
+        # key is exactly the int64 maximum.
+        n = 2**32 - 1
+        assert MAX_RANDOM_WEIGHT * (n + 1) + n == 2**63 - 1
+        keys._check_bound(n, MAX_RANDOM_WEIGHT)
+
+    def test_tie_break_guards_large_weights(self):
+        w = np.ones(4, dtype=np.int64)
+        with pytest.raises(errors.ColoringError, match="overflow int64"):
+            tie_break(w, 2**62)
+        assert tie_break(w, 2**31 - 1).tolist() == [5, 6, 7, 8]
 
 
 class TestErrorHierarchy:
