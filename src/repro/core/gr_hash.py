@@ -35,10 +35,10 @@ from .._clock import wall_timer
 from .._rng import RngLike, ensure_rng
 from ..gpusim.cost_model import CostModel
 from ..gpusim.device import DeviceSpec
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, arc_positions
 from ..gunrock import Enactor, Frontier, GunrockContext, compute, filter_frontier
 from ..trace import span_phase
-from .keys import strict_keys
+from .keys import key_ids, strict_keys
 from .result import ColoringResult
 
 __all__ = ["gunrock_hash_coloring"]
@@ -47,14 +47,41 @@ __all__ = ["gunrock_hash_coloring"]
 def _segments(graph: CSRGraph, ids: np.ndarray):
     """(owner, neighbor) arc arrays covering the given vertex ids."""
     degs = graph.offsets[ids + 1] - graph.offsets[ids]
-    total = int(degs.sum())
-    if total == 0:
-        e = np.empty(0, dtype=np.int64)
-        return e, e.copy()
-    starts = np.repeat(graph.offsets[ids], degs)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(degs) - degs, degs)
-    owners = np.repeat(ids, degs)
-    return owners, graph.indices[starts + ramp]
+    pos = arc_positions(graph.offsets, ids, degs)
+    return np.repeat(ids, degs), graph.indices[pos]
+
+
+def _propose(
+    graph: CSRGraph, ids: np.ndarray, colors: np.ndarray, keys: np.ndarray
+) -> np.ndarray:
+    """Alg. 6 lines 11–18: nominate each active vertex's max-key and
+    min-key uncolored neighbors; actives with no uncolored neighbor
+    nominate themselves.  Returns the sorted unique nominees.
+
+    The active vertices' arcs run owner by owner, so after dropping
+    colored neighbors each owner's surviving run is one segment of a
+    segmented max and min over the neighbors' strict keys.  Strict keys
+    are unique, so an extremal key names exactly one vertex.
+    """
+    degs = graph.offsets[ids + 1] - graph.offsets[ids]
+    nbrs = graph.indices[arc_positions(graph.offsets, ids, degs)]
+    ok = colors[nbrs] == 0
+    nbrs = nbrs[ok]
+    # Surviving arcs per owner, from the running count of kept arcs.
+    kept = np.zeros(len(ok) + 1, dtype=np.int64)
+    np.cumsum(ok, out=kept[1:])
+    ends = np.cumsum(degs)
+    counts = kept[ends] - kept[ends - degs]
+    picked = np.zeros(len(colors), dtype=bool)
+    picked[ids[counts == 0]] = True
+    if len(nbrs):
+        starts = (np.cumsum(counts) - counts)[counts > 0]
+        nbr_keys = keys[nbrs]
+        be = _backend.current()
+        for op in ("max", "min"):
+            extremes = be.segmented_reduce(nbr_keys, starts, op)
+            picked[key_ids(extremes, len(colors))] = True
+    return np.flatnonzero(picked)
 
 
 def gunrock_hash_coloring(
@@ -86,23 +113,6 @@ def gunrock_hash_coloring(
     frontier = Frontier.all_vertices(graph)
     enactor = Enactor(ctx)
     max_color_used = 0
-
-    def propose(ids: np.ndarray) -> np.ndarray:
-        """Nominate each active vertex's max-key and min-key uncolored
-        neighbors; actives with no uncolored neighbor nominate themselves."""
-        owners, nbrs = _segments(graph, ids)
-        ok = colors[nbrs] == 0
-        owners, nbrs = owners[ok], nbrs[ok]
-        lonely = ids[~np.isin(ids, owners, assume_unique=False)]
-        picks = [lonely]
-        if len(owners):
-            for sign in (-1, 1):  # max pass, then min pass
-                order = np.lexsort((nbrs, sign * keys[nbrs], owners))
-                o_sorted = owners[order]
-                first = np.ones(len(order), dtype=bool)
-                first[1:] = o_sorted[1:] != o_sorted[:-1]
-                picks.append(nbrs[order][first])
-        return np.unique(np.concatenate(picks))
 
     def reuse_colors(proposed: np.ndarray) -> None:
         """Alg. 6 lines 20–28: smallest existing color absent from the
@@ -229,7 +239,7 @@ def gunrock_hash_coloring(
         holder = {}
 
         def hash_color_op(ids: np.ndarray) -> None:
-            proposed = propose(ids)
+            proposed = _propose(graph, ids, colors, keys)
             reuse_colors(proposed)
             holder["proposed"] = proposed
             if san is not None:

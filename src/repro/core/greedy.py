@@ -36,7 +36,7 @@ from .._clock import wall_timer
 from .._rng import RngLike
 from ..errors import ColoringError
 from ..gpusim.device import CPUSpec, HOST_CPU
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, arc_positions
 from .orderings import get_ordering
 from .result import ColoringResult
 
@@ -132,11 +132,7 @@ def _greedy_colors_vectorized(graph: CSRGraph, order: np.ndarray) -> np.ndarray:
         total = int(fs.sum())
         if not total:
             break
-        starts = np.repeat(soff[frontier], fs)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(fs) - fs, fs
-        )
-        dec = np.bincount(sdst[starts + ramp], minlength=n)
+        dec = np.bincount(sdst[arc_positions(soff, frontier, fs)], minlength=n)
         indeg -= dec
         frontier = be.frontier_compact((indeg == 0) & (dec > 0))
     return colors

@@ -4,8 +4,9 @@ Luby-style colorings compare random (or degree) weights between
 neighbors; two adjacent vertices drawing one weight would stall the
 local-maximum test, so every implementation appends the vertex id:
 ``weight * (n + 1) + id`` orders by weight first and never ties.  This
-module is the one place that encoding is built, so every algorithm
-drawing keys from one generator state gets bit-identical keys.
+module is the one place that encoding is built (and decoded, by
+:func:`key_ids`), so every algorithm drawing keys from one generator
+state gets bit-identical keys.
 
 The encoding is int64, so it carries a bound: with weights up to
 ``max_weight`` it needs ``max_weight * (n + 1) + n <= 2**63 - 1``.  For
@@ -20,7 +21,7 @@ import numpy as np
 
 from ..errors import ColoringError
 
-__all__ = ["MAX_RANDOM_WEIGHT", "strict_keys", "tie_break"]
+__all__ = ["MAX_RANDOM_WEIGHT", "key_ids", "strict_keys", "tie_break"]
 
 #: Largest weight :func:`strict_keys` draws (weights are ``[1, 2**31)``).
 MAX_RANDOM_WEIGHT = 2**31 - 1
@@ -43,6 +44,12 @@ def tie_break(weights: np.ndarray, max_weight: int) -> np.ndarray:
     n = len(weights)
     _check_bound(n, max_weight)
     return weights * np.int64(n + 1) + np.arange(n, dtype=np.int64)
+
+
+def key_ids(keys: np.ndarray, n: int) -> np.ndarray:
+    """The vertex ids that strict keys of an ``n``-vertex graph encode:
+    ``keys % (n + 1)``, the inverse of :func:`tie_break`'s id term."""
+    return keys % np.int64(n + 1)
 
 
 def strict_keys(n: int, gen: np.random.Generator) -> np.ndarray:

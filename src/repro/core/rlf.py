@@ -24,7 +24,7 @@ import numpy as np
 from .. import backend as _backend
 from .._clock import wall_timer
 from ..gpusim.device import CPUSpec, HOST_CPU
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, arc_positions
 from .result import ColoringResult
 
 __all__ = ["rlf_coloring"]
@@ -58,11 +58,7 @@ def rlf_coloring(graph: CSRGraph, *, cpu: Optional[CPUSpec] = None) -> ColoringR
         degs = offsets[ids + 1] - offsets[ids]
         total = int(degs.sum())
         if total:
-            starts = np.repeat(offsets[ids], degs)
-            ramp = np.arange(total, dtype=np.int64) - np.repeat(
-                np.cumsum(degs) - degs, degs
-            )
-            nbrs_flat = indices[starts + ramp]
+            nbrs_flat = indices[arc_positions(offsets, ids, degs)]
             owners = np.repeat(ids, degs)
             _backend.current().scatter_reduce(
                 sub_deg, owners, uncolored[nbrs_flat].astype(np.int64), "sum"

@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import GraphError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "arc_positions"]
 
 
 class CSRGraph:
@@ -234,6 +234,21 @@ class CSRGraph:
             f"<CSRGraph{label} {kind} n={self.num_vertices} "
             f"m={self.num_edges} avg_deg={self.avg_degree:.2f}>"
         )
+
+
+def arc_positions(
+    offsets: np.ndarray, ids: np.ndarray, degs: np.ndarray
+) -> np.ndarray:
+    """Flat positions of every arc of the rows ``ids``, row after row.
+
+    Row ``ids[i]`` (of length ``degs[i]``) contributes ``offsets[ids[i]]
+    + j`` for ``j < degs[i]``.  One ramp plus a per-row shift, so a
+    single ``np.repeat``: ``arange(total) + repeat(offsets[ids] -
+    exclusive_cumsum(degs), degs)``.
+    """
+    excl = np.cumsum(degs) - degs
+    total = int(degs.sum())
+    return np.arange(total, dtype=np.int64) + np.repeat(offsets[ids] - excl, degs)
 
 
 def _validate_csr(offsets: np.ndarray, indices: np.ndarray, undirected: bool) -> None:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .._rng import RngLike, ensure_rng
 from ..errors import GraphError
-from .csr import CSRGraph
+from .csr import CSRGraph, arc_positions
 
 __all__ = [
     "bfs_levels",
@@ -57,16 +57,7 @@ def bfs_levels(graph: CSRGraph, source: int) -> np.ndarray:
 def _expand(offsets: np.ndarray, indices: np.ndarray, frontier: np.ndarray) -> np.ndarray:
     """Concatenate the neighbor lists of every frontier vertex (with dups)."""
     degs = offsets[frontier + 1] - offsets[frontier]
-    total = int(degs.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    # Flattened gather: position j within vertex i's slice is
-    # offsets[frontier[i]] + j; build all of them with one ramp.
-    starts = np.repeat(offsets[frontier], degs)
-    ramp = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(degs) - degs, degs
-    )
-    return indices[starts + ramp]
+    return indices[arc_positions(offsets, frontier, degs)]
 
 
 def eccentricity(graph: CSRGraph, source: int) -> int:

@@ -30,6 +30,7 @@ import numpy as np
 from .. import backend as _backend
 from ..errors import DimensionMismatch, InvalidValue
 from ..gpusim.cost_model import CostModel
+from ..graph.csr import arc_positions
 from ..trace import span_phase
 from .binaryop import BinaryOp, UnaryOp
 from .descriptor import DEFAULT, Descriptor
@@ -237,11 +238,7 @@ def vxm(
     out = np.full(w.size, identity, dtype=w.gtype.dtype)
     hit = np.zeros(w.size, dtype=bool)
     if push_edges:
-        starts = np.repeat(A.offsets[uidx], degs)
-        ramp = np.arange(push_edges, dtype=np.int64) - np.repeat(
-            np.cumsum(degs) - degs, degs
-        )
-        pos = starts + ramp
+        pos = arc_positions(A.offsets, uidx, degs)
         dst = A.indices[pos]
         left = np.repeat(u.values[uidx], degs)
         prod = np.asarray(semiring.multiply(left, A.values[pos])).astype(
@@ -299,11 +296,7 @@ def mxv(
     out = np.full(w.size, identity, dtype=w.gtype.dtype)
     hit = np.zeros(w.size, dtype=bool)
     if total:
-        starts = np.repeat(A.offsets[rows], degs)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(degs) - degs, degs
-        )
-        pos = starts + ramp
+        pos = arc_positions(A.offsets, rows, degs)
         cols = A.indices[pos]
         row_of = np.repeat(rows, degs)
         ok = u.present[cols]
@@ -511,11 +504,7 @@ def mxm(
     # Expand every (i, k, va) against B's row k.
     out_i = np.repeat(a_rows, expand)
     va = np.repeat(A.values, expand)
-    starts = np.repeat(B.offsets[a_cols], expand)
-    ramp = np.arange(flops, dtype=np.int64) - np.repeat(
-        np.cumsum(expand) - expand, expand
-    )
-    pos = starts + ramp
+    pos = arc_positions(B.offsets, a_cols, expand)
     out_j = B.indices[pos]
     prod = np.asarray(semiring.multiply(va, B.values[pos]))
     # Combine duplicates with the additive monoid: sort by (i, j) and

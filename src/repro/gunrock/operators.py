@@ -29,7 +29,7 @@ import numpy as np
 from .. import backend as _backend
 from ..errors import FrontierError, GunrockError
 from ..gpusim.cost_model import CostModel
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, arc_positions
 from ..trace import span_phase
 from .frontier import EdgeFrontier, Frontier
 
@@ -96,15 +96,8 @@ def advance(
     total = int(degs.sum())
     seg = np.zeros(len(frontier) + 1, dtype=np.int64)
     np.cumsum(degs, out=seg[1:])
-    if total:
-        starts = np.repeat(g.offsets[frontier.ids], degs)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(seg[:-1], degs)
-        pos = starts + ramp
-        targets = g.indices[pos]
-        sources = np.repeat(frontier.ids, degs)
-    else:
-        targets = np.empty(0, dtype=np.int64)
-        sources = np.empty(0, dtype=np.int64)
+    targets = g.indices[arc_positions(g.offsets, frontier.ids, degs)]
+    sources = np.repeat(frontier.ids, degs)
     # Load-balanced edge-parallel kernel that also materializes the
     # frontier to memory (the overhead §V-B attributes to AR).
     with span_phase(ctx.cost.trace, f"advance:{name}"):
@@ -139,15 +132,19 @@ def neighbor_reduce(
 
     Returns one reduced value per origin-frontier vertex (the monoid
     identity for empty segments).  With ``arg=True`` returns instead the
-    *target vertex id* attaining the extremum (needed by the AR variant,
-    which colors the winning neighbor).
+    *target vertex id* attaining the extremum, the smallest on ties and
+    -1 for empty segments (needed by the AR variant, which colors the
+    winning neighbor).
     """
     try:
         ufunc, identity = _REDUCERS[op]
     except KeyError:
         raise GunrockError(f"unknown reduction {op!r}") from None
+    if arg and op == "sum":
+        raise GunrockError("arg reduction requires max or min")
     seg = edge_frontier.segment_offsets
     nseg = len(seg) - 1
+    lens = np.diff(seg)
     vals = values[edge_frontier.targets]
     with span_phase(ctx.cost.trace, f"neighbor_reduce:{name}"):
         ctx.cost.charge_segmented_reduce(
@@ -160,31 +157,33 @@ def neighbor_reduce(
             # into the segment slot — a declared cross-lane reduction.
             k.read(f"values@{name}", edge_frontier.targets)
             if edge_frontier.num_edges:
-                seg_lanes = np.repeat(
-                    np.arange(nseg, dtype=np.int64), np.diff(seg)
-                )
+                seg_lanes = np.repeat(np.arange(nseg, dtype=np.int64), lens)
                 k.write(f"reduce_out@{name}", seg_lanes, reduction=True)
-    if edge_frontier.num_edges == 0:
+    be = _backend.current()
+    if op == "sum":
+        # Float accumulation order is part of the backend contract, so
+        # sums keep the scatter formulation.
         out = np.full(nseg, identity, dtype=values.dtype)
+        if edge_frontier.num_edges:
+            seg_of = np.repeat(np.arange(nseg, dtype=np.int64), lens)
+            be.scatter_reduce(out, seg_of, vals, ufunc)
         return out
-    seg_of = np.repeat(np.arange(nseg, dtype=np.int64), np.diff(seg))
-    if not arg:
+    # max/min: one segmented reduction over the non-empty segments;
+    # empty ones keep the identity (or -1, "no target", for arg).
+    full = np.flatnonzero(lens)
+    if arg:
+        out = np.full(nseg, -1, dtype=np.int64)
+    else:
         out = np.full(nseg, identity, dtype=values.dtype)
-        _backend.current().scatter_reduce(out, seg_of, vals, ufunc)
+    if len(full) == 0:
         return out
-    if op not in ("max", "min"):
-        raise GunrockError("arg reduction requires max or min")
-    # Arg-reduction: order so the extremal element of each segment comes
-    # first, then take each segment's first target id.
-    key = vals if op == "min" else -vals
-    order = np.lexsort((edge_frontier.targets, key, seg_of))
-    sorted_seg = seg_of[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = sorted_seg[1:] != sorted_seg[:-1]
-    winners_seg = sorted_seg[first]
-    winners_tgt = edge_frontier.targets[order][first]
-    out = np.full(nseg, -1, dtype=np.int64)
-    out[winners_seg] = winners_tgt
+    extremes = be.segmented_reduce(vals, seg[full], op)
+    if arg:
+        # The smallest target attaining its segment's extremum.
+        hits = vals == np.repeat(extremes, lens[full])
+        targets = np.where(hits, edge_frontier.targets, np.iinfo(np.int64).max)
+        extremes = be.segmented_reduce(targets, seg[full], "min")
+    out[full] = extremes
     return out
 
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro._rng import ensure_rng
 from repro.errors import GraphError
 from repro.graph.build import (
     complete_graph,
@@ -13,7 +15,7 @@ from repro.graph.build import (
     path_graph,
     star_graph,
 )
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, arc_positions
 
 from _strategies import graphs
 
@@ -220,3 +222,19 @@ def test_csr_invariants_hold_for_arbitrary_graphs(g):
     for v in g:
         row = g.neighbors(v)
         assert list(row) == sorted(set(row.tolist()))
+
+
+class TestArcPositions:
+    @given(g=graphs(), seed=st.integers(0, 2**31))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_row_ranges(self, g, seed):
+        # Any id sequence: unsorted, repeated, or empty.
+        rng = ensure_rng(seed)
+        ids = rng.integers(0, g.num_vertices, rng.integers(0, 12))
+        degs = g.offsets[ids + 1] - g.offsets[ids]
+        want = [np.arange(g.offsets[v], g.offsets[v + 1]) for v in ids]
+        got = arc_positions(g.offsets, ids, degs)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(
+            got, np.concatenate(want) if want else np.empty(0, dtype=np.int64)
+        )

@@ -6,7 +6,7 @@ import pytest
 from repro import errors
 from repro._rng import DEFAULT_SEED, ensure_rng, random_weights, spawn
 from repro.core import keys
-from repro.core.keys import MAX_RANDOM_WEIGHT, strict_keys, tie_break
+from repro.core.keys import MAX_RANDOM_WEIGHT, key_ids, strict_keys, tie_break
 
 
 class TestEnsureRng:
@@ -87,6 +87,24 @@ class TestStrictKeys:
         with pytest.raises(errors.ColoringError, match="overflow int64"):
             tie_break(w, 2**62)
         assert tie_break(w, 2**31 - 1).tolist() == [5, 6, 7, 8]
+
+    @pytest.mark.parametrize("n", [1, 2, 57, 1000])
+    def test_key_ids_inverts_random_keys(self, n):
+        ids = key_ids(strict_keys(n, ensure_rng(n)), n)
+        np.testing.assert_array_equal(ids, np.arange(n))
+
+    def test_key_ids_inverts_degree_weighted_keys(self):
+        # Degree weights (as the largest-degree-first variants use) tie
+        # heavily; the id term still decodes every key, in any order.
+        degrees = np.array([3, 0, 3, 7, 1, 3, 0], dtype=np.int64)
+        n = len(degrees)
+        keys_ = tie_break(degrees, int(degrees.max()))
+        perm = ensure_rng(5).permutation(n)
+        np.testing.assert_array_equal(key_ids(keys_[perm], n), perm)
+        # The extremal key names the extremal-weight vertex, highest id
+        # among ties.
+        assert key_ids(keys_.max(), n) == 3
+        assert key_ids(keys_[degrees == 3].max(), n) == 5
 
 
 class TestErrorHierarchy:
