@@ -13,12 +13,25 @@ from typing import Callable, Tuple
 
 import numpy as np
 
+from ..graph.csr import arc_positions
 from .base import Backend, OpLike, resolve_op
 
 __all__ = ["ReferenceBackend"]
 
 _I64_MIN = np.iinfo(np.int64).min
 _I64_MAX = np.iinfo(np.int64).max
+
+#: Colors below this fit one int64 bitset (bit c for color c).
+_BITSET_COLORS = 63
+
+
+def _active_arcs(offsets, indices, keys, active):
+    """(target, key) of every arc leaving an active vertex, pushed from
+    the compacted frontier rather than filtered out of all m arcs."""
+    ids = np.flatnonzero(active)
+    degs = offsets[ids + 1] - offsets[ids]
+    dst = indices[arc_positions(offsets, ids, degs)]
+    return dst, np.repeat(keys[ids], degs)
 
 
 class ReferenceBackend(Backend):
@@ -64,9 +77,6 @@ class ReferenceBackend(Backend):
         starts: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
-        # Collect each segment's distinct positive neighbor colors sorted
-        # ascending; the mex is one past the longest prefix matching
-        # 1, 2, 3, …  (unique-encode + group-rank, fully vectorized).
         k = len(starts)
         if k == 0:
             return np.empty(0, dtype=np.int64)
@@ -75,17 +85,28 @@ class ReferenceBackend(Backend):
         out = np.ones(k, dtype=np.int64)
         if total == 0:
             return out
-        arc_starts = np.repeat(np.asarray(starts, dtype=np.int64), counts)
-        ramp = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
+        excl = np.cumsum(counts) - counts
+        pos = np.arange(total, dtype=np.int64) + np.repeat(
+            np.asarray(starts, dtype=np.int64) - excl, counts
         )
-        nbr_colors = colors[indices[arc_starts + ramp]]
+        nbr_colors = colors[indices[pos]]
+        maxc = int(nbr_colors.max())
+        if maxc < _BITSET_COLORS:
+            # OR bit c of every positive neighbor color into its
+            # segment's word; the mex is the lowest clear bit above 0.
+            shift = np.maximum(nbr_colors, 0).astype(np.int64, copy=False)
+            bits = np.left_shift(np.int64(1), shift) & ~np.int64(1)
+            nonempty = counts > 0
+            used = np.zeros(k, dtype=np.int64)
+            used[nonempty] = np.bitwise_or.reduceat(bits, excl[nonempty])
+            free = ~(used | 1)
+            return np.bitwise_count((free & -free) - 1).astype(np.int64)
+        # Collect each segment's distinct positive neighbor colors sorted
+        # ascending; the mex is one past the longest prefix matching
+        # 1, 2, 3, …  (unique-encode + group-rank, fully vectorized).
         owner = np.repeat(np.arange(k, dtype=np.int64), counts)
         keep = nbr_colors > 0
         owner, nbr_colors = owner[keep], nbr_colors[keep]
-        if len(owner) == 0:
-            return out
-        maxc = int(nbr_colors.max())
         enc = np.unique(owner * np.int64(maxc + 2) + nbr_colors)
         owner = enc // np.int64(maxc + 2)
         col = enc % np.int64(maxc + 2)
@@ -111,11 +132,9 @@ class ReferenceBackend(Backend):
         keys: np.ndarray,
         active: np.ndarray,
     ) -> np.ndarray:
-        n = len(offsets) - 1
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        ok = active[src]
-        out = np.full(n, _I64_MIN, dtype=np.int64)
-        np.maximum.at(out, indices[ok], keys[src[ok]])
+        dst, vals = _active_arcs(offsets, indices, keys, active)
+        out = np.full(len(offsets) - 1, _I64_MIN, dtype=np.int64)
+        np.maximum.at(out, dst, vals)
         return out
 
     def active_extrema(
@@ -126,10 +145,7 @@ class ReferenceBackend(Backend):
         active: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
         n = len(offsets) - 1
-        src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
-        ok = active[src]
-        dst = indices[ok]
-        vals = keys[src[ok]]
+        dst, vals = _active_arcs(offsets, indices, keys, active)
         nmax = np.full(n, _I64_MIN, dtype=np.int64)
         nmin = np.full(n, _I64_MAX, dtype=np.int64)
         np.maximum.at(nmax, dst, vals)

@@ -125,7 +125,7 @@ def distributed_jpl_coloring(
             raise ColoringError("dist.jpl failed to converge")
         iterations += 1
         keys = strict_keys(n, gen)
-        nmax, _ = _backend.current().active_extrema(
+        nmax = _backend.current().active_max(
             graph.offsets, graph.indices, keys, active
         )
         winners = active & (keys > nmax)

@@ -35,13 +35,16 @@ from .._clock import wall_timer
 from .._rng import RngLike, ensure_rng
 from ..gpusim.cost_model import CostModel
 from ..gpusim.device import DeviceSpec
-from ..graph.csr import CSRGraph, arc_positions
+from ..graph.csr import CSRGraph, arc_positions, row_reduce
 from ..gunrock import Enactor, Frontier, GunrockContext, compute, filter_frontier
 from ..trace import span_phase
 from .keys import key_ids, strict_keys
 from .result import ColoringResult
 
 __all__ = ["gunrock_hash_coloring"]
+
+_I64_MIN = np.iinfo(np.int64).min
+_I64_MAX = np.iinfo(np.int64).max
 
 
 def _segments(graph: CSRGraph, ids: np.ndarray):
@@ -58,12 +61,30 @@ def _propose(
     min-key uncolored neighbors; actives with no uncolored neighbor
     nominate themselves.  Returns the sorted unique nominees.
 
-    The active vertices' arcs run owner by owner, so after dropping
-    colored neighbors each owner's surviving run is one segment of a
-    segmented max and min over the neighbors' strict keys.  Strict keys
-    are unique, so an extremal key names exactly one vertex.
+    Each owner's proposal is a reduction over its own CSR row, so when
+    the frontier holds at least half the arcs every row is reduced
+    (pull; colored neighbors read as the identity) and the frontier's
+    rows are picked out.  Otherwise the frontier's arcs are gathered
+    owner by owner (push); after dropping colored neighbors each
+    owner's surviving run is one segment of a segmented max and min.
+    Strict keys are unique, so an extremal key names exactly one
+    vertex.
     """
+    n = len(colors)
     degs = graph.offsets[ids + 1] - graph.offsets[ids]
+    picked = np.zeros(n, dtype=bool)
+    if 2 * int(degs.sum()) >= graph.num_arcs:
+        nbr_keys = keys[graph.indices]
+        uncolored = colors[graph.indices] == 0
+        vals = np.where(uncolored, nbr_keys, _I64_MIN)
+        best = row_reduce(vals, graph.offsets, "max", _I64_MIN)[ids]
+        found = best != _I64_MIN  # strict keys are positive
+        picked[ids[~found]] = True
+        picked[key_ids(best[found], n)] = True
+        vals = np.where(uncolored, nbr_keys, _I64_MAX)
+        best = row_reduce(vals, graph.offsets, "min", _I64_MAX)[ids]
+        picked[key_ids(best[found], n)] = True
+        return np.flatnonzero(picked)
     nbrs = graph.indices[arc_positions(graph.offsets, ids, degs)]
     ok = colors[nbrs] == 0
     nbrs = nbrs[ok]
@@ -72,7 +93,6 @@ def _propose(
     np.cumsum(ok, out=kept[1:])
     ends = np.cumsum(degs)
     counts = kept[ends] - kept[ends - degs]
-    picked = np.zeros(len(colors), dtype=bool)
     picked[ids[counts == 0]] = True
     if len(nbrs):
         starts = (np.cumsum(counts) - counts)[counts > 0]
@@ -80,8 +100,53 @@ def _propose(
         be = _backend.current()
         for op in ("max", "min"):
             extremes = be.segmented_reduce(nbr_keys, starts, op)
-            picked[key_ids(extremes, len(colors))] = True
+            picked[key_ids(extremes, n)] = True
     return np.flatnonzero(picked)
+
+
+def _fold_tables(
+    graph: CSRGraph,
+    survivors: np.ndarray,
+    colors: np.ndarray,
+    table: np.ndarray,
+    table_used: np.ndarray,
+):
+    """Fold the survivors' colors into their uncolored neighbors'
+    prohibited-color tables, in place; full tables ignore new colors.
+
+    The round's survivors hold at most ``hash_size + 2`` distinct
+    colors, so each is handled in turn, ascending: mark the uncolored
+    neighbors of its holders, drop those whose table already has it,
+    and give the rest the next free slot.  Taking colors in ascending
+    order fills each table exactly as ranking every vertex's new colors
+    would.  Returns ``None`` when there was nothing new to fold, else
+    the written ``(vertex, slot)`` pairs.
+    """
+    owners, nbrs = _segments(graph, survivors)
+    keep = colors[nbrs] == 0  # only uncolored vertices still need tables
+    w, c = nbrs[keep], colors[owners[keep]]
+    keep = c > 0
+    w, c = w[keep], c[keep]
+    hash_size = table.shape[1]
+    marked = np.zeros(len(colors), dtype=bool)
+    written_w, written_slot = [], []
+    fresh = False
+    for color in np.flatnonzero(np.bincount(c)):
+        marked[w[c == color]] = True
+        ws = np.flatnonzero(marked)
+        marked[ws] = False
+        ws = ws[~(table[ws] == color).any(axis=1)]
+        fresh = fresh or len(ws) > 0
+        slot = table_used[ws]
+        ok = slot < hash_size
+        ws, slot = ws[ok], slot[ok]
+        table[ws, slot] = color
+        table_used[ws] += 1
+        written_w.append(ws)
+        written_slot.append(slot)
+    if not fresh:
+        return None
+    return np.concatenate(written_w), np.concatenate(written_slot)
 
 
 def gunrock_hash_coloring(
@@ -185,45 +250,21 @@ def gunrock_hash_coloring(
         color tables; full tables ignore new colors (§IV-B2)."""
         if hash_size == 0 or len(survivors) == 0:
             return
-        owners, nbrs = _segments(graph, survivors)
-        keep = colors[nbrs] == 0  # only uncolored vertices still need tables
-        w, c = nbrs[keep], colors[owners[keep]]
-        keep = c > 0
-        w, c = w[keep], c[keep]
-        if len(w) == 0:
-            return
-        enc = np.unique(w * np.int64(max_color_used + 2) + c)
-        w = enc // np.int64(max_color_used + 2)
-        c = enc % np.int64(max_color_used + 2)
-        known = (table[w] == c[:, None]).any(axis=1)
-        w, c = w[~known], c[~known]
-        if len(w) == 0:
-            return
-        # Rank within each w group (w is sorted from np.unique).
-        first = np.ones(len(w), dtype=bool)
-        first[1:] = w[1:] != w[:-1]
-        group_start = np.maximum.accumulate(
-            np.where(first, np.arange(len(w)), 0)
-        )
-        rank = np.arange(len(w)) - group_start
-        slot = table_used[w] + rank
-        ok = slot < hash_size
-        table[w[ok], slot[ok]] = c[ok]
-        _backend.current().scatter_reduce(
-            table_used, w[ok], np.ones(int(ok.sum()), dtype=np.int64), "sum"
-        )
+        written = _fold_tables(graph, survivors, colors, table, table_used)
         san = cost.sanitizer
-        if san is not None:
+        if san is not None and written is not None:
+            w, slot = written
+            owners, nbrs = _segments(graph, survivors)
             with san.kernel("hash_gen_op") as k:
                 # Each survivor's thread folds its color into its
                 # uncolored neighbors' tables: slots are claimed with an
                 # atomicAdd on table_used, so concurrent inserts into
                 # one vertex's table are serialized by the counter.
                 k.read("colors", np.concatenate([owners, nbrs]))
-                k.write("table_used", w[ok], reduction=True)
+                k.write("table_used", w, reduction=True)
                 k.write(
                     "table",
-                    w[ok] * np.int64(table.shape[1]) + slot[ok],
+                    w * np.int64(table.shape[1]) + slot,
                     atomic=True,
                 )
 

@@ -37,15 +37,6 @@ from .result import ColoringResult
 __all__ = ["gunrock_is_coloring"]
 
 
-def _neighbor_extrema(
-    graph: CSRGraph, keys: np.ndarray, active_mask: np.ndarray
-):
-    """Per-vertex max and min of ``keys`` over *active* neighbors."""
-    return _backend.current().active_extrema(
-        graph.offsets, graph.indices, keys, active_mask
-    )
-
-
 def gunrock_is_coloring(
     graph: CSRGraph,
     *,
@@ -86,7 +77,9 @@ def gunrock_is_coloring(
         def color_op(ids: np.ndarray) -> None:
             # Serial neighbor loop: compare own key with every active
             # neighbor's; both extrema found in the same pass.
-            nmax, nmin = _neighbor_extrema(graph, keys, active)
+            nmax, nmin = _backend.current().active_extrema(
+                graph.offsets, graph.indices, keys, active
+            )
             colormax = active & (keys > nmax)
             colors[colormax] = base + 1
             newly[:] = colormax

@@ -32,19 +32,15 @@ from .._rng import RngLike, ensure_rng
 from ..errors import ColoringError
 from ..gpusim.cost_model import CostModel
 from ..gpusim.device import DeviceSpec
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, row_reduce
 from ..trace import span_phase, tag_iteration
 from .keys import strict_keys
 from .result import ColoringResult
 
 __all__ = ["naumov_jpl_coloring", "naumov_cc_coloring"]
 
-
-def _active_extrema(graph: CSRGraph, keys: np.ndarray, active: np.ndarray):
-    """Max and min of ``keys`` over active neighbors, per vertex."""
-    return _backend.current().active_extrema(
-        graph.offsets, graph.indices, keys, active
-    )
+_I64_MIN = np.iinfo(np.int64).min
+_I64_MAX = np.iinfo(np.int64).max
 
 
 def _active_snapshot(graph: CSRGraph, active: np.ndarray):
@@ -55,44 +51,33 @@ def _active_snapshot(graph: CSRGraph, active: np.ndarray):
     gather structure can be built once and reused by all
     ``num_hashes`` extrema passes.  Only valid for undirected (arc-
     symmetric) graphs, where "active neighbors of v" equals "active
-    sources of arcs into v" — which is what :func:`_active_extrema`
-    computes by scatter.
+    sources of arcs into v" — which is what the backend's
+    ``active_extrema`` computes by scatter.
 
-    Returns ``(sub_indices, sub_starts, nonempty)``: the active-
-    neighbor lists of all vertices concatenated, the start of each
-    vertex's segment, and the mask of vertices with a non-empty
-    segment.
+    Returns ``(sub_indices, sub_offsets, nonempty)``: the active-
+    neighbor lists of all vertices concatenated, their CSR offsets, and
+    the ids of vertices with a non-empty list.
     """
     offsets, indices = graph.offsets, graph.indices
     mask = active[indices]
     prefix = np.zeros(len(indices) + 1, dtype=np.int64)
     np.cumsum(mask, out=prefix[1:])
-    sub_starts = prefix[offsets[:-1]]
-    nonempty = prefix[offsets[1:]] > sub_starts
-    return indices[mask], sub_starts, nonempty
+    sub_offsets = prefix[offsets]
+    nonempty = np.flatnonzero(sub_offsets[1:] > sub_offsets[:-1])
+    return indices[mask], sub_offsets, nonempty
 
 
-def _snapshot_extrema(keys: np.ndarray, snapshot, n: int):
+def _snapshot_extrema(keys: np.ndarray, snapshot):
     """Per-vertex max/min of ``keys`` over a compressed snapshot.
 
-    Segment reductions over the active-neighbor lists replace the
-    per-arc scatter of :func:`_active_extrema`; the results are
-    element-for-element identical (both reduce the same key multiset
-    per vertex).
+    Row reductions over the active-neighbor lists replace the per-arc
+    scatter of ``active_extrema``; the results are element-for-element
+    identical (both reduce the same key multiset per vertex).
     """
-    sub, starts, nonempty = snapshot
-    nmax = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-    nmin = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
-    if len(sub):
-        vals = keys[sub]
-        # Reduce over nonempty segments only: an empty row's start
-        # equals its successor's, so consecutive nonempty starts are
-        # exact segment boundaries and the last segment runs to the end
-        # of ``sub`` — precisely the segmented-reduce contract.
-        s = starts[nonempty]
-        be = _backend.current()
-        nmax[nonempty] = be.segmented_reduce(vals, s, "max")
-        nmin[nonempty] = be.segmented_reduce(vals, s, "min")
+    sub, sub_offsets, nonempty = snapshot
+    vals = keys[sub]
+    nmax = row_reduce(vals, sub_offsets, "max", _I64_MIN, nonempty)
+    nmin = row_reduce(vals, sub_offsets, "min", _I64_MAX, nonempty)
     return nmax, nmin
 
 
@@ -125,7 +110,9 @@ def naumov_jpl_coloring(
             # Hardwired load-balanced kernel over the arcs of active vertices.
             active_arcs = int(graph.degrees[active].sum())
             cost.charge_edge_balanced(active_arcs, name="jpl_kernel", eff=1.85)
-            nmax, _ = _active_extrema(graph, keys, active)
+            nmax = _backend.current().active_max(
+                graph.offsets, graph.indices, keys, active
+            )
             winners = active & (keys > nmax)
             colors[winners] = iterations
             san = cost.sanitizer
@@ -208,9 +195,11 @@ def naumov_cc_coloring(
             for k in range(num_hashes):
                 keys = strict_keys(n, gen)
                 if compressed is not None:
-                    nmax, nmin = _snapshot_extrema(keys, compressed, n)
+                    nmax, nmin = _snapshot_extrema(keys, compressed)
                 else:
-                    nmax, nmin = _active_extrema(graph, keys, snapshot)
+                    nmax, nmin = _backend.current().active_extrema(
+                        graph.offsets, graph.indices, keys, snapshot
+                    )
                 # Extremal w.r.t. the snapshot: each (hash, extremum) class
                 # is an independent set, and classes take distinct colors,
                 # so intra-sweep assignments never conflict.  Comparing

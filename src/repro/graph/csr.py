@@ -27,7 +27,7 @@ import numpy as np
 
 from ..errors import GraphError
 
-__all__ = ["CSRGraph", "arc_positions"]
+__all__ = ["CSRGraph", "arc_positions", "row_reduce"]
 
 
 class CSRGraph:
@@ -249,6 +249,35 @@ def arc_positions(
     excl = np.cumsum(degs) - degs
     total = int(degs.sum())
     return np.arange(total, dtype=np.int64) + np.repeat(offsets[ids] - excl, degs)
+
+
+def row_reduce(
+    values: np.ndarray,
+    offsets: np.ndarray,
+    op,
+    identity,
+    nonempty: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """Reduce every CSR row of an arc-aligned array; empty rows get
+    ``identity``.
+
+    Row ``i`` covers ``values[offsets[i]:offsets[i+1]]`` and is reduced
+    with ``op`` (a kind string or ufunc) through the current backend's
+    ``segmented_reduce``.  Only non-empty rows are segments, so
+    consecutive starts are exact boundaries and reduceat's
+    empty-segment quirk never applies.  ``nonempty`` — the ascending
+    ids of rows with at least one entry — may be passed when cached.
+    """
+    from .. import backend
+
+    out = np.full(len(offsets) - 1, identity, dtype=values.dtype)
+    if nonempty is None:
+        nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
+    if len(nonempty):
+        out[nonempty] = backend.current().segmented_reduce(
+            values, offsets[nonempty], op
+        )
+    return out
 
 
 def _validate_csr(offsets: np.ndarray, indices: np.ndarray, undirected: bool) -> None:

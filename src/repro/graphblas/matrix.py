@@ -2,9 +2,9 @@
 
 A :class:`Matrix` stores a sparse matrix in compressed-sparse-row form —
 the input representation both frameworks consume (§IV).  Graph coloring
-only needs the adjacency pattern, so :meth:`from_graph` builds a matrix
-of ones over a :class:`~repro.graph.csr.CSRGraph` without copying its
-structure arrays.
+only needs the adjacency pattern, so :meth:`from_graph` builds an
+iso-valued matrix of ones over a :class:`~repro.graph.csr.CSRGraph`
+without copying its structure arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +23,17 @@ __all__ = ["Matrix"]
 class Matrix:
     """A sparse ``nrows × ncols`` matrix in CSR form."""
 
-    __slots__ = ("offsets", "indices", "values", "_shape", "_type")
+    __slots__ = (
+        "offsets",
+        "indices",
+        "values",
+        "_shape",
+        "_type",
+        "_iso",
+        "_symmetric",
+        "_degrees",
+        "_nonempty",
+    )
 
     def __init__(
         self,
@@ -46,6 +56,10 @@ class Matrix:
             self.indices.min() < 0 or self.indices.max() >= self._shape[1]
         ):
             raise InvalidValue("column index out of range")
+        self._iso = False
+        self._symmetric = False
+        self._degrees = None
+        self._nonempty = None
 
     # -- constructors -------------------------------------------------------
 
@@ -53,8 +67,9 @@ class Matrix:
     def from_graph(cls, graph: CSRGraph, gtype=None) -> "Matrix":
         """The adjacency matrix of ``graph`` with unit values.
 
-        Shares the graph's offset/index arrays (no copy); values are a
-        single broadcast array of ones.
+        Shares the graph's offset/index arrays (no copy); the unit value
+        is stored once, as a read-only broadcast over the arcs (an iso
+        matrix).  An undirected graph's matrix is its own transpose.
         """
         from .types import INT64
 
@@ -62,8 +77,11 @@ class Matrix:
         if not isinstance(t, GrBType):
             t = from_dtype(t)
         n = graph.num_vertices
-        ones = np.ones(graph.num_arcs, dtype=t.dtype)
-        return cls(t, graph.offsets, graph.indices, ones, (n, n))
+        ones = np.broadcast_to(t.dtype.type(1), (graph.num_arcs,))
+        A = cls(t, graph.offsets, graph.indices, ones, (n, n))
+        A._iso = True
+        A._symmetric = graph.undirected
+        return A
 
     @classmethod
     def from_coo(
@@ -117,9 +135,31 @@ class Matrix:
     def gtype(self) -> GrBType:
         return self._type
 
+    @property
+    def iso(self) -> bool:
+        """Whether every stored value is one broadcast scalar."""
+        return self._iso
+
+    @property
+    def symmetric(self) -> bool:
+        """Whether the matrix is known to equal its transpose."""
+        return self._symmetric
+
     def row_degrees(self) -> np.ndarray:
-        """Entries per row (work estimator for masked vxm)."""
-        return np.diff(self.offsets)
+        """Entries per row (cached, read-only; the work estimator for
+        masked vxm)."""
+        if self._degrees is None:
+            self._degrees = np.diff(self.offsets)
+            self._degrees.setflags(write=False)
+        return self._degrees
+
+    def nonempty_rows(self) -> np.ndarray:
+        """Ascending ids of the rows holding at least one entry (cached,
+        read-only)."""
+        if self._nonempty is None:
+            self._nonempty = np.flatnonzero(self.row_degrees())
+            self._nonempty.setflags(write=False)
+        return self._nonempty
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """(column indices, values) of row ``i``."""

@@ -30,7 +30,7 @@ import numpy as np
 from .. import backend as _backend
 from ..errors import DimensionMismatch, InvalidValue
 from ..gpusim.cost_model import CostModel
-from ..graph.csr import arc_positions
+from ..graph.csr import arc_positions, row_reduce
 from ..trace import span_phase
 from .binaryop import BinaryOp, UnaryOp
 from .descriptor import DEFAULT, Descriptor
@@ -55,6 +55,11 @@ __all__ = [
     "select",
     "reduce_rows",
 ]
+
+
+#: Additive monoids whose result does not depend on the order the
+#: contributions are combined in, so vxm may pull instead of scatter.
+_ORDER_FREE = frozenset({np.maximum, np.minimum, np.logical_or, np.logical_and})
 
 
 def _sanitizer(cost: Optional[CostModel]):
@@ -107,18 +112,19 @@ def _write(
         # C<M, replace> = T keeps exactly T intersect M, nothing of old C.
         w.present[:] = False
         w.values[:] = w.gtype.zero
-    target = m & res_present
+    target = np.flatnonzero(m & res_present)
     if accum is not None:
-        both = target & w.present
-        if both.any():
+        old = w.present[target]
+        both = target[old]
+        if len(both):
             w.values[both] = accum(w.values[both], res_values[both]).astype(
                 w.gtype.dtype, copy=False
             )
-        fresh = target & ~w.present
+        fresh = target[~old]
         w.values[fresh] = res_values[fresh]
     else:
         w.values[target] = res_values[target]
-    w.present |= target
+    w.present[target] = True
 
 
 def assign(
@@ -139,10 +145,11 @@ def assign(
     vertices are colored and later masked operations skip them.
     """
     m = _mask_array(mask, w.size, desc)
+    idx = np.flatnonzero(m)
     if cost is not None:
         with span_phase(cost.trace, name):
             cost.charge_gb_overhead(name=f"{name}.dispatch")
-            cost.charge_map(int(m.sum()), name=name)
+            cost.charge_map(len(idx), name=name)
     san = _sanitizer(cost)
     if san is not None:
         with san.kernel(name) as k:
@@ -155,11 +162,11 @@ def assign(
         w.values[:] = zero
     if w.gtype.dtype.type(value) == zero:
         # Pruning write: remove entries instead of storing zeros.
-        w.present[m] = False
-        w.values[m] = zero
+        w.present[idx] = False
+        w.values[idx] = zero
     else:
-        w.values[m] = value
-        w.present[m] = True
+        w.values[idx] = value
+        w.present[idx] = True
     return w
 
 
@@ -207,18 +214,23 @@ def vxm(
 ) -> Vector:
     """GrB_vxm: ``w[j] = ⊕_i u[i] ⊗ A[i, j]`` over present entries of u.
 
-    Executed push-style (scatter contributions from present rows of
-    ``u``), which is also how the work is charged: the kernel touches
-    exactly the arcs of ``u``'s present entries; when an output mask is
-    supplied and pulling masked columns would be cheaper, the cheaper
-    direction is charged (the push–pull optimization of [28]).
+    Direction-optimized [28].  When u's present rows hold at least half
+    of A's entries, the monoid is order-free (max, min, lor, land) and
+    A is iso-valued and its own transpose, it executes pull-style: each
+    output row reduces ``u[i] ⊗ a`` (identity where u is absent) over
+    its own CSR row.  Otherwise it pushes, scattering contributions
+    from the present rows of ``u``.  Both give the same result.  The
+    charge is independent of the direction executed: the arcs of
+    ``u``'s present entries, or, when an output mask is supplied and
+    pulling the masked rows would touch fewer, those rows' arcs.
     """
     if u.size != A.nrows:
         raise DimensionMismatch(f"u size {u.size} != A nrows {A.nrows}")
     if w.size != A.ncols:
         raise DimensionMismatch(f"w size {w.size} != A ncols {A.ncols}")
     uidx = np.flatnonzero(u.present)
-    degs = A.offsets[uidx + 1] - A.offsets[uidx]
+    row_degs = A.row_degrees()
+    degs = row_degs[uidx]
     push_edges = int(degs.sum())
     if cost is not None:
         # Direction-optimized charge [28]: push from the present entries
@@ -229,32 +241,71 @@ def vxm(
         work = push_edges
         if mask is not None and A.nrows == w.size:
             m = _mask_array(mask, w.size, desc)
-            work = min(push_edges, int(A.row_degrees()[m].sum()))
+            work = min(push_edges, int(row_degs[m].sum()))
         with span_phase(cost.trace, name):
             cost.charge_gb_overhead(name=f"{name}.dispatch")
             cost.charge_vxm(work, len(uidx), name=name)
     monoid = semiring.add
-    identity = monoid.identity(w.gtype.dtype)
-    out = np.full(w.size, identity, dtype=w.gtype.dtype)
-    hit = np.zeros(w.size, dtype=bool)
-    if push_edges:
-        pos = arc_positions(A.offsets, uidx, degs)
-        dst = A.indices[pos]
-        left = np.repeat(u.values[uidx], degs)
-        prod = np.asarray(semiring.multiply(left, A.values[pos])).astype(
-            w.gtype.dtype, copy=False
-        )
-        assert monoid.op.ufunc is not None, "additive monoid needs a ufunc"
-        _backend.current().scatter_hit(out, hit, dst, prod, monoid.op.ufunc)
+    ufunc = monoid.op.ufunc
+    assert ufunc is not None, "additive monoid needs a ufunc"
+    dtype = w.gtype.dtype
+    identity = monoid.identity(dtype)
+    pull = (
+        push_edges > 0
+        and 2 * push_edges >= A.nvals
+        and ufunc in _ORDER_FREE
+        and A.iso
+        and A.symmetric
+    )
+    if pull:
+        # A = Aᵀ, so column j's entries are row j's, and every entry is
+        # the same scalar: the product needs computing once per row of u.
+        prod = np.asarray(
+            semiring.multiply(u.values[uidx], A.values[:1])
+        ).astype(dtype, copy=False)
+        t = np.full(A.nrows, identity, dtype=dtype)
+        t[uidx] = prod
+        nonempty = A.nonempty_rows()
+        out = row_reduce(t[A.indices], A.offsets, ufunc, identity, nonempty)
+        if (prod == identity).any():
+            hit = row_reduce(
+                u.present[A.indices], A.offsets, np.logical_or, False, nonempty
+            )
+        else:
+            # No contribution equals the identity, and the identity is
+            # the dtype's extreme (or bool) value, so any contribution
+            # moves a row's result off it: a row is hit exactly when
+            # its result is not the identity.
+            hit = out != identity
+    else:
+        out = np.full(w.size, identity, dtype=dtype)
+        hit = np.zeros(w.size, dtype=bool)
+        if push_edges:
+            pos = arc_positions(A.offsets, uidx, degs)
+            dst = A.indices[pos]
+            left = np.repeat(u.values[uidx], degs)
+            prod = np.asarray(semiring.multiply(left, A.values[pos])).astype(
+                dtype, copy=False
+            )
+            _backend.current().scatter_hit(out, hit, dst, prod, ufunc)
     san = _sanitizer(cost)
     if san is not None:
         with san.kernel(name) as k:
-            # Push-style vxm: each present-row thread reads its own value
-            # and combines contributions into the destination slots — a
-            # declared cross-lane monoid reduction (ufunc.at above).
-            k.read(f"u@{name}", uidx, lane=uidx)
-            if push_edges:
-                k.write(f"out@{name}", dst, reduction=True)
+            if pull:
+                # Pull-style vxm: each row's thread gathers its own
+                # neighbors and reduces into its own output slot.
+                row_lanes = np.repeat(
+                    np.arange(A.nrows, dtype=np.int64), row_degs
+                )
+                k.read(f"u@{name}", A.indices, lane=row_lanes)
+                k.write(f"out@{name}", row_lanes, lane=row_lanes)
+            else:
+                # Push-style vxm: each present-row thread reads its own
+                # value and combines contributions into the destination
+                # slots — a declared cross-lane monoid reduction.
+                k.read(f"u@{name}", uidx, lane=uidx)
+                if push_edges:
+                    k.write(f"out@{name}", dst, reduction=True)
             final = _mask_array(mask, w.size, desc) & hit
             _record_masked_write(k, name, final)
     _write(w, mask, accum, out, hit, desc)
@@ -337,13 +388,14 @@ def _ewise(
     check_same_size(w, u, v)
     both = u.present & v.present
     res = np.zeros(w.size, dtype=w.gtype.dtype)
-    if both.any():
-        res[both] = np.asarray(op(u.values[both], v.values[both])).astype(
+    idx = np.flatnonzero(both)
+    if len(idx):
+        res[idx] = np.asarray(op(u.values[idx], v.values[idx])).astype(
             w.gtype.dtype, copy=False
         )
     if union:
-        only_u = u.present & ~v.present
-        only_v = v.present & ~u.present
+        only_u = np.flatnonzero(u.present & ~v.present)
+        only_v = np.flatnonzero(v.present & ~u.present)
         res[only_u] = u.values[only_u].astype(w.gtype.dtype, copy=False)
         res[only_v] = v.values[only_v].astype(w.gtype.dtype, copy=False)
         present = u.present | v.present
@@ -352,7 +404,7 @@ def _ewise(
     if cost is not None:
         with span_phase(cost.trace, name):
             cost.charge_gb_overhead(name=f"{name}.dispatch")
-            cost.charge_map(int(present.sum()), name=name)
+            cost.charge_map(int(np.count_nonzero(present)), name=name)
     san = _sanitizer(cost)
     if san is not None:
         with san.kernel(name) as k:
@@ -410,7 +462,7 @@ def reduce_scalar(
     Reduces the *values of present entries*; returns the monoid identity
     for an empty vector.
     """
-    vals = u.values[u.present]
+    vals = u.values[np.flatnonzero(u.present)]
     if cost is not None:
         with span_phase(cost.trace, name):
             cost.charge_gb_overhead(name=f"{name}.dispatch")
@@ -421,7 +473,7 @@ def reduce_scalar(
             # Tree reduction: all lanes combine into one scalar slot.
             k.write(
                 f"scalar@{name}",
-                np.zeros(int(u.present.sum()), dtype=np.int64),
+                np.zeros(len(vals), dtype=np.int64),
                 reduction=True,
             )
     return monoid.reduce(vals, dtype=u.gtype.dtype)

@@ -72,7 +72,7 @@ class Vector:
     @property
     def nvals(self) -> int:
         """Number of present entries (GrB_Vector_nvals)."""
-        return int(self.present.sum())
+        return int(np.count_nonzero(self.present))
 
     @property
     def gtype(self) -> GrBType:

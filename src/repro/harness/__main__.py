@@ -433,17 +433,28 @@ def _serve_config(args):
 
 def _parse_request_line(obj: dict):
     """One JSONL object → a ColoringRequest.  Inline CSR graphs are
-    given as ``{"graph": {"offsets": [...], "indices": [...]}}``."""
+    given as ``{"graph": {"offsets": [...], "indices": [...]}}``; one
+    that is not a valid undirected CSR makes the line a ``rejected``
+    ColoringResponse with reason ``invalid_graph: …`` instead."""
+    from ..errors import GraphError
     from ..graph.csr import CSRGraph
-    from ..serve import ColoringRequest
+    from ..serve import ColoringRequest, ColoringResponse
 
     graph_doc = obj.pop("graph", None)
     if graph_doc is not None:
-        obj["graph"] = CSRGraph(
-            graph_doc["offsets"],
-            graph_doc["indices"],
-            name=graph_doc.get("name", "inline"),
-        )
+        name = graph_doc.get("name", "inline")
+        try:
+            obj["graph"] = CSRGraph(
+                graph_doc["offsets"], graph_doc["indices"], name=name
+            )
+        except GraphError as exc:
+            return ColoringResponse(
+                request_id=str(obj.get("request_id", "")),
+                status="rejected",
+                impl=str(obj.get("impl", "")),
+                dataset=name,
+                reason=f"invalid_graph: {exc}",
+            )
     return ColoringRequest(**obj)
 
 
@@ -452,7 +463,7 @@ def _cmd_serve(args, parser) -> int:
     service and report every response (terminal, never dropped)."""
     import json
 
-    from ..serve import ServeClient
+    from ..serve import ColoringResponse, ServeClient
 
     if len(args.targets) != 1:
         parser.error(
@@ -486,8 +497,14 @@ def _cmd_serve(args, parser) -> int:
 
     responses = []
     with ServeClient(_serve_config(args)) as client:
-        futures = [client.submit_async(r) for r in requests]
+        futures = [
+            r if isinstance(r, ColoringResponse) else client.submit_async(r)
+            for r in requests
+        ]
         for future in futures:
+            if isinstance(future, ColoringResponse):  # rejected when parsed
+                responses.append(future)
+                continue
             try:
                 responses.append(future.result(timeout=300.0))
             except Exception:  # unanswered: the contract violation

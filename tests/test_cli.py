@@ -284,3 +284,29 @@ class TestMetricsOnErrorPaths:
         assert metrics.active() is None
         assert out.exists()  # empty registry, but written and valid
         json.loads(out.read_text())
+
+
+class TestHarnessServeCommand:
+    def test_malformed_inline_csr_is_rejected_not_fatal(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """An asymmetric inline CSR ends its own line ``rejected`` with an
+        ``invalid_graph`` reason; the other lines still run."""
+        monkeypatch.chdir(tmp_path)
+        req = tmp_path / "req.jsonl"
+        req.write_text(
+            '{"impl": "cpu.greedy", "graph": {"offsets": [0, 1, 1], "indices": [1]}}\n'
+            '{"impl": "cpu.greedy", "graph": {"offsets": [0, 1, 2], "indices": [1, 0]}}\n'
+        )
+        out = tmp_path / "resp.jsonl"
+        assert harness_main(["serve", str(req), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "ok=1, rejected=1" in captured.out
+        bad, good = [json.loads(line) for line in out.read_text().splitlines()]
+        assert bad["status"] == "rejected"
+        assert bad["reason"] == (
+            "invalid_graph: declared undirected but arc set is asymmetric"
+        )
+        assert bad["impl"] == "cpu.greedy" and bad["attempts"] == 0
+        assert good["status"] == "ok" and good["num_colors"] == 2
