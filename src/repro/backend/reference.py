@@ -100,7 +100,11 @@ class ReferenceBackend(Backend):
             used = np.zeros(k, dtype=np.int64)
             used[nonempty] = np.bitwise_or.reduceat(bits, excl[nonempty])
             free = ~(used | 1)
-            return np.bitwise_count((free & -free) - 1).astype(np.int64)
+            # free & -free isolates the lowest clear bit, a power of two
+            # (1 << 63 wraps to -2**63); float64 holds it exactly and
+            # frexp's exponent is one past the bit's index either way.
+            lowest = (free & -free).astype(np.float64)
+            return (np.frexp(lowest)[1] - 1).astype(np.int64)
         # Collect each segment's distinct positive neighbor colors sorted
         # ascending; the mex is one past the longest prefix matching
         # 1, 2, 3, …  (unique-encode + group-rank, fully vectorized).

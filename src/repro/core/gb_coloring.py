@@ -64,6 +64,7 @@ from ..graphblas import (
     reduce_scalar,
     vxm,
 )
+from ..graphblas.ops import vxm_pulls
 from ..trace import span_phase, tag_iteration
 from .keys import strict_keys, tie_break
 from .result import ColoringResult
@@ -93,6 +94,11 @@ def _init_weights(n: int, gen, *, degrees: Optional[np.ndarray] = None) -> Vecto
         return Vector.from_dense(strict_keys(n, gen))
     base = np.asarray(degrees, dtype=np.int64) + 1
     return Vector.from_dense(tie_break(base, int(base.max(initial=1))))
+
+
+def _row_lanes(A: Matrix) -> np.ndarray:
+    """The row (thread) owning each stored entry of ``A``."""
+    return np.repeat(np.arange(A.nrows, dtype=np.int64), A.row_degrees())
 
 
 def _find_frontier(
@@ -126,15 +132,25 @@ def _find_frontier(
                 san = cost.sanitizer
                 if san is not None:
                     # The op ran uncharged (cost=None) so it did not record
-                    # itself; certify the same push-scatter reduction here.
-                    with san.kernel("vxm_max") as k:
-                        widx = np.flatnonzero(weight.present)
-                        k.read("u@vxm_max", widx, lane=widx)
-                        k.write(
-                            "out@vxm_max",
-                            np.flatnonzero(max_v.present),
-                            reduction=True,
-                        )
+                    # itself; certify the direction it ran here.
+                    widx = np.flatnonzero(weight.present)
+                    push_edges = int(A.row_degrees()[widx].sum())
+                    if vxm_pulls(A, MAX_TIMES, push_edges):
+                        rows = _row_lanes(A)
+                        with san.kernel("vxm_max") as k:
+                            # Row pull: each row's thread gathers its own
+                            # neighbors into its own output slot.
+                            k.read("u@vxm_max", A.indices, lane=rows)
+                            k.write("out@vxm_max", rows, lane=rows)
+                    else:
+                        with san.kernel("vxm_max") as k:
+                            # Push scatter: a cross-lane max reduction.
+                            k.read("u@vxm_max", widx, lane=widx)
+                            k.write(
+                                "out@vxm_max",
+                                np.flatnonzero(max_v.present),
+                                reduction=True,
+                            )
         frontier = Vector.new(BOOL, n)
         ewise_add(
             frontier, None, None, binaryop.GT, weight, max_v, cost=cost, name="frontier_gt"
@@ -242,15 +258,25 @@ def _mis_inner(
                 san = cost.sanitizer
                 if san is not None:
                     # Charged manually (no work-skipping, §V-C), so record
-                    # the boolean-semiring scatter reduction manually too.
-                    with san.kernel("vxm_nbr") as k:
-                        fidx = np.flatnonzero(frontier.present)
-                        k.read("u@vxm_nbr", fidx, lane=fidx)
-                        k.write(
-                            "out@vxm_nbr",
-                            np.flatnonzero(nbrs.present),
-                            reduction=True,
-                        )
+                    # the direction the boolean-semiring op ran manually too.
+                    fidx = np.flatnonzero(frontier.present)
+                    push_edges = int(A.row_degrees()[fidx].sum())
+                    if vxm_pulls(A, BOOLEAN, push_edges):
+                        rows = _row_lanes(A)
+                        with san.kernel("vxm_nbr") as k:
+                            # Row pull: each row's thread gathers its own
+                            # neighbors into its own output slot.
+                            k.read("u@vxm_nbr", A.indices, lane=rows)
+                            k.write("out@vxm_nbr", rows, lane=rows)
+                    else:
+                        with san.kernel("vxm_nbr") as k:
+                            # Push scatter: a cross-lane logical-or reduction.
+                            k.read("u@vxm_nbr", fidx, lane=fidx)
+                            k.write(
+                                "out@vxm_nbr",
+                                np.flatnonzero(nbrs.present),
+                                reduction=True,
+                            )
             assign(weight, nbrs, None, 0, cost=cost, name="drop_nbrs")
             cost.charge_sync(name="mis_inner_sync")
     raise ColoringError("MIS inner loop failed to converge")

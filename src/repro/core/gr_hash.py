@@ -35,16 +35,13 @@ from .._clock import wall_timer
 from .._rng import RngLike, ensure_rng
 from ..gpusim.cost_model import CostModel
 from ..gpusim.device import DeviceSpec
-from ..graph.csr import CSRGraph, arc_positions, row_reduce
+from ..graph.csr import CSRGraph, arc_positions
 from ..gunrock import Enactor, Frontier, GunrockContext, compute, filter_frontier
 from ..trace import span_phase
 from .keys import key_ids, strict_keys
 from .result import ColoringResult
 
 __all__ = ["gunrock_hash_coloring"]
-
-_I64_MIN = np.iinfo(np.int64).min
-_I64_MAX = np.iinfo(np.int64).max
 
 
 def _segments(graph: CSRGraph, ids: np.ndarray):
@@ -61,30 +58,12 @@ def _propose(
     min-key uncolored neighbors; actives with no uncolored neighbor
     nominate themselves.  Returns the sorted unique nominees.
 
-    Each owner's proposal is a reduction over its own CSR row, so when
-    the frontier holds at least half the arcs every row is reduced
-    (pull; colored neighbors read as the identity) and the frontier's
-    rows are picked out.  Otherwise the frontier's arcs are gathered
-    owner by owner (push); after dropping colored neighbors each
-    owner's surviving run is one segment of a segmented max and min.
-    Strict keys are unique, so an extremal key names exactly one
-    vertex.
+    The active vertices' arcs run owner by owner, so after dropping
+    colored neighbors each owner's surviving run is one segment of a
+    segmented max and min over the neighbors' strict keys.  Strict keys
+    are unique, so an extremal key names exactly one vertex.
     """
-    n = len(colors)
     degs = graph.offsets[ids + 1] - graph.offsets[ids]
-    picked = np.zeros(n, dtype=bool)
-    if 2 * int(degs.sum()) >= graph.num_arcs:
-        nbr_keys = keys[graph.indices]
-        uncolored = colors[graph.indices] == 0
-        vals = np.where(uncolored, nbr_keys, _I64_MIN)
-        best = row_reduce(vals, graph.offsets, "max", _I64_MIN)[ids]
-        found = best != _I64_MIN  # strict keys are positive
-        picked[ids[~found]] = True
-        picked[key_ids(best[found], n)] = True
-        vals = np.where(uncolored, nbr_keys, _I64_MAX)
-        best = row_reduce(vals, graph.offsets, "min", _I64_MAX)[ids]
-        picked[key_ids(best[found], n)] = True
-        return np.flatnonzero(picked)
     nbrs = graph.indices[arc_positions(graph.offsets, ids, degs)]
     ok = colors[nbrs] == 0
     nbrs = nbrs[ok]
@@ -93,6 +72,7 @@ def _propose(
     np.cumsum(ok, out=kept[1:])
     ends = np.cumsum(degs)
     counts = kept[ends] - kept[ends - degs]
+    picked = np.zeros(len(colors), dtype=bool)
     picked[ids[counts == 0]] = True
     if len(nbrs):
         starts = (np.cumsum(counts) - counts)[counts > 0]
@@ -100,7 +80,7 @@ def _propose(
         be = _backend.current()
         for op in ("max", "min"):
             extremes = be.segmented_reduce(nbr_keys, starts, op)
-            picked[key_ids(extremes, n)] = True
+            picked[key_ids(extremes, len(colors))] = True
     return np.flatnonzero(picked)
 
 

@@ -54,17 +54,14 @@ def _active_snapshot(graph: CSRGraph, active: np.ndarray):
     sources of arcs into v" — which is what the backend's
     ``active_extrema`` computes by scatter.
 
-    Returns ``(sub_indices, sub_offsets, nonempty)``: the active-
-    neighbor lists of all vertices concatenated, their CSR offsets, and
-    the ids of vertices with a non-empty list.
+    Returns ``(sub_indices, sub_offsets)``: the active-neighbor lists
+    of all vertices concatenated and their CSR offsets.
     """
     offsets, indices = graph.offsets, graph.indices
     mask = active[indices]
     prefix = np.zeros(len(indices) + 1, dtype=np.int64)
     np.cumsum(mask, out=prefix[1:])
-    sub_offsets = prefix[offsets]
-    nonempty = np.flatnonzero(sub_offsets[1:] > sub_offsets[:-1])
-    return indices[mask], sub_offsets, nonempty
+    return indices[mask], prefix[offsets]
 
 
 def _snapshot_extrema(keys: np.ndarray, snapshot):
@@ -74,10 +71,10 @@ def _snapshot_extrema(keys: np.ndarray, snapshot):
     scatter of ``active_extrema``; the results are element-for-element
     identical (both reduce the same key multiset per vertex).
     """
-    sub, sub_offsets, nonempty = snapshot
+    sub, sub_offsets = snapshot
     vals = keys[sub]
-    nmax = row_reduce(vals, sub_offsets, "max", _I64_MIN, nonempty)
-    nmin = row_reduce(vals, sub_offsets, "min", _I64_MAX, nonempty)
+    nmax = row_reduce(vals, sub_offsets, "max", _I64_MIN)
+    nmin = row_reduce(vals, sub_offsets, "min", _I64_MAX)
     return nmax, nmin
 
 

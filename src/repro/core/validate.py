@@ -31,13 +31,16 @@ def _conflict_mask(graph: CSRGraph, colors: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"colors length {len(colors)} != vertices {graph.num_vertices}"
         )
-    src_colors = np.repeat(colors, graph.degrees)
-    return (src_colors == colors[graph.indices]) & (src_colors > 0)
+    src = np.repeat(
+        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
+    )
+    dst = graph.indices
+    return (colors[src] == colors[dst]) & (colors[src] > 0)
 
 
 def count_conflicts(graph: CSRGraph, colors: np.ndarray) -> int:
     """Number of conflicting *edges* (each undirected conflict counted once)."""
-    conflicts = int(np.count_nonzero(_conflict_mask(graph, colors)))
+    conflicts = int(_conflict_mask(graph, colors).sum())
     return conflicts // 2 if graph.undirected else conflicts
 
 

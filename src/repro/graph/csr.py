@@ -256,7 +256,6 @@ def row_reduce(
     offsets: np.ndarray,
     op,
     identity,
-    nonempty: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Reduce every CSR row of an arc-aligned array; empty rows get
     ``identity``.
@@ -265,14 +264,12 @@ def row_reduce(
     with ``op`` (a kind string or ufunc) through the current backend's
     ``segmented_reduce``.  Only non-empty rows are segments, so
     consecutive starts are exact boundaries and reduceat's
-    empty-segment quirk never applies.  ``nonempty`` — the ascending
-    ids of rows with at least one entry — may be passed when cached.
+    empty-segment quirk never applies.
     """
     from .. import backend
 
     out = np.full(len(offsets) - 1, identity, dtype=values.dtype)
-    if nonempty is None:
-        nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
+    nonempty = np.flatnonzero(offsets[1:] > offsets[:-1])
     if len(nonempty):
         out[nonempty] = backend.current().segmented_reduce(
             values, offsets[nonempty], op

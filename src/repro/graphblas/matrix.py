@@ -32,7 +32,6 @@ class Matrix:
         "_iso",
         "_symmetric",
         "_degrees",
-        "_nonempty",
     )
 
     def __init__(
@@ -59,7 +58,6 @@ class Matrix:
         self._iso = False
         self._symmetric = False
         self._degrees = None
-        self._nonempty = None
 
     # -- constructors -------------------------------------------------------
 
@@ -152,14 +150,6 @@ class Matrix:
             self._degrees = np.diff(self.offsets)
             self._degrees.setflags(write=False)
         return self._degrees
-
-    def nonempty_rows(self) -> np.ndarray:
-        """Ascending ids of the rows holding at least one entry (cached,
-        read-only)."""
-        if self._nonempty is None:
-            self._nonempty = np.flatnonzero(self.row_degrees())
-            self._nonempty.setflags(write=False)
-        return self._nonempty
 
     def row(self, i: int) -> Tuple[np.ndarray, np.ndarray]:
         """(column indices, values) of row ``i``."""

@@ -62,6 +62,22 @@ __all__ = [
 _ORDER_FREE = frozenset({np.maximum, np.minimum, np.logical_or, np.logical_and})
 
 
+def vxm_pulls(A: Matrix, semiring: Semiring, push_edges: int) -> bool:
+    """Whether :func:`vxm` over ``A`` executes pull-style when u's
+    present rows hold ``push_edges`` of A's entries.
+
+    Callers that run ``vxm`` uncharged and record its kernel themselves
+    use this to record the direction that actually ran.
+    """
+    return (
+        push_edges > 0
+        and 2 * push_edges >= A.nvals
+        and semiring.add.op.ufunc in _ORDER_FREE
+        and A.iso
+        and A.symmetric
+    )
+
+
 def _sanitizer(cost: Optional[CostModel]):
     """The cost model's race sanitizer, or ``None`` when disabled.
 
@@ -250,13 +266,7 @@ def vxm(
     assert ufunc is not None, "additive monoid needs a ufunc"
     dtype = w.gtype.dtype
     identity = monoid.identity(dtype)
-    pull = (
-        push_edges > 0
-        and 2 * push_edges >= A.nvals
-        and ufunc in _ORDER_FREE
-        and A.iso
-        and A.symmetric
-    )
+    pull = vxm_pulls(A, semiring, push_edges)
     if pull:
         # A = Aᵀ, so column j's entries are row j's, and every entry is
         # the same scalar: the product needs computing once per row of u.
@@ -265,17 +275,17 @@ def vxm(
         ).astype(dtype, copy=False)
         t = np.full(A.nrows, identity, dtype=dtype)
         t[uidx] = prod
-        nonempty = A.nonempty_rows()
-        out = row_reduce(t[A.indices], A.offsets, ufunc, identity, nonempty)
+        out = row_reduce(t[A.indices], A.offsets, ufunc, identity)
         if (prod == identity).any():
             hit = row_reduce(
-                u.present[A.indices], A.offsets, np.logical_or, False, nonempty
+                u.present[A.indices], A.offsets, np.logical_or, False
             )
         else:
             # No contribution equals the identity, and the identity is
             # the dtype's extreme (or bool) value, so any contribution
             # moves a row's result off it: a row is hit exactly when
-            # its result is not the identity.
+            # its result is not the identity.  This skips a second
+            # gather and reduction over all the arcs.
             hit = out != identity
     else:
         out = np.full(w.size, identity, dtype=dtype)

@@ -545,6 +545,53 @@ class TestVxmDirection:
             assert "vxm_t" in report.kernels_checked()
             assert (("out@vxm_t", "reduction") in report.declared()) != pulled
 
+    @pytest.mark.parametrize(
+        "kernel,run",
+        [
+            (
+                "vxm_max",
+                lambda g: gb_coloring.graphblas_is_coloring(g, masked=False, rng=4),
+            ),
+            ("vxm_nbr", lambda g: gb_coloring.graphblas_mis_coloring(g, rng=5)),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "build",
+        [
+            pytest.param(lambda: grid2d(6, 6), id="grid"),
+            pytest.param(
+                lambda: from_edges(
+                    np.array([[0, i] for i in range(1, 9)]), num_vertices=9
+                ),
+                id="star",
+            ),
+        ],
+    )
+    def test_hand_recorded_vxm_follows_the_direction(
+        self, kernel, run, build, monkeypatch
+    ):
+        """The uncharged vxm calls gb_coloring records itself: every
+        launch is recorded as the direction ``vxm_pulls`` chose."""
+        monkeypatch.setenv(S.ENV_VAR, "1")
+        monkeypatch.setenv(S.RACE_CERTS_ENV, "0")
+        pulled = []
+        real = gb_coloring.vxm_pulls
+
+        def spy(*args):
+            pulled.append(real(*args))
+            return pulled[-1]
+
+        monkeypatch.setattr(gb_coloring, "vxm_pulls", spy)
+        S.reset_reports()
+        run(build())
+        declared = [
+            bool(c.declared)
+            for r in S.take_reports()
+            for c in r.certificates
+            if c.kernel == kernel
+        ]
+        assert pulled and declared == [not p for p in pulled]
+
     def test_from_graph_is_iso_and_shares_structure(self):
         g = grid2d(3, 3)
         A = Matrix.from_graph(g, INT64)
@@ -554,9 +601,6 @@ class TestVxmDirection:
         assert A.values.tolist() == [1] * g.num_arcs
         np.testing.assert_array_equal(A.row_degrees(), g.degrees)
         assert A.row_degrees() is A.row_degrees()
-        np.testing.assert_array_equal(
-            A.nonempty_rows(), np.flatnonzero(g.degrees)
-        )
 
 
 def _active_extrema_scatter(offsets, indices, keys, active):
@@ -675,27 +719,6 @@ class TestBitsetMex:
         assert got.tolist() == [top + 1]
 
 
-def _propose_push(graph, ids, colors, keys):
-    """``_propose``'s push direction on its own: gather the frontier's
-    arcs, drop colored neighbors, segmented max/min per owner."""
-    degs = graph.offsets[ids + 1] - graph.offsets[ids]
-    nbrs = graph.indices[arc_positions(graph.offsets, ids, degs)]
-    ok = colors[nbrs] == 0
-    nbrs = nbrs[ok]
-    kept = np.zeros(len(ok) + 1, dtype=np.int64)
-    np.cumsum(ok, out=kept[1:])
-    ends = np.cumsum(degs)
-    counts = kept[ends] - kept[ends - degs]
-    picked = np.zeros(len(colors), dtype=bool)
-    picked[ids[counts == 0]] = True
-    if len(nbrs):
-        starts = (np.cumsum(counts) - counts)[counts > 0]
-        for ufunc in (np.maximum, np.minimum):
-            extremes = ufunc.reduceat(keys[nbrs], starts)
-            picked[extremes % (len(colors) + 1)] = True
-    return np.flatnonzero(picked)
-
-
 def _fold_tables_unique(graph, survivors, colors, table, table_used):
     """The ``np.unique`` + rank-in-group table fold ``_fold_tables``
     replaced (same return contract)."""
@@ -723,21 +746,7 @@ def _fold_tables_unique(graph, survivors, colors, table, table_used):
     return w[ok], slot[ok]
 
 
-class TestGunrockHashDirections:
-    @given(
-        g=graphs(max_vertices=32),
-        seed=st.integers(0, 2**31),
-        p_colored=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
-        p_active=st.sampled_from([0.0, 0.3, 0.6, 1.0]),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_propose_matches_push(self, g, seed, p_colored, p_active):
-        ids, colors, keys = _random_partial_state(g, seed, p_colored, p_active)
-        np.testing.assert_array_equal(
-            gr_hash._propose(g, ids, colors, keys),
-            _propose_push(g, ids, colors, keys),
-        )
-
+class TestGunrockHashFoldTables:
     @given(
         g=graphs(max_vertices=32, max_edges=120),
         seed=st.integers(0, 2**31),
@@ -773,11 +782,10 @@ class TestGunrockHashDirections:
     @pytest.mark.parametrize("hash_size", [0, 1, 4])
     @pytest.mark.parametrize("build", FAMILY_GRAPHS)
     def test_coloring_matches_oracle_run(self, build, hash_size, monkeypatch):
-        """Whole runs with both oracles patched in agree on colors,
+        """Whole runs with the oracle fold patched in agree on colors,
         simulated time, iterations and every cost counter."""
         graph = build()
         fast = gr_hash.gunrock_hash_coloring(graph, hash_size=hash_size, rng=5)
-        monkeypatch.setattr(gr_hash, "_propose", _propose_push)
         monkeypatch.setattr(gr_hash, "_fold_tables", _fold_tables_unique)
         ref = gr_hash.gunrock_hash_coloring(graph, hash_size=hash_size, rng=5)
         np.testing.assert_array_equal(fast.colors, ref.colors)
