@@ -85,13 +85,12 @@ def from_arcs(
             )
     keep = src != dst  # drop self-loops
     src, dst = src[keep], dst[keep]
-    # Sort by (src, dst) then dedup — yields sorted, unique CSR rows.
-    key = src * num_vertices + dst
-    order = np.argsort(key, kind="stable")
-    key = key[order]
+    # Sort the (src, dst) keys then dedup — yields sorted, unique CSR
+    # rows; each unique key decodes back to its arc.
+    key = np.sort(src * num_vertices + dst)
     uniq = np.ones(len(key), dtype=bool)
     uniq[1:] = key[1:] != key[:-1]
-    src, dst = src[order][uniq], dst[order][uniq]
+    src, dst = np.divmod(key[uniq], num_vertices)
     offsets = np.zeros(num_vertices + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=num_vertices), out=offsets[1:])
     return CSRGraph(offsets, dst, undirected=undirected, name=name, validate=False)

@@ -115,19 +115,23 @@ def random_regular(
         gen.shuffle(stubs)
         u, v = stubs[0::2], stubs[1::2]
         ok = u != v
-        key = np.minimum(u, v) * n + np.maximum(u, v)
-        uniq_key, counts = np.unique(key[ok], return_counts=True)
-        simple = int((counts == 1).sum())
+        # Sorted edge keys of the non-loop pairs; a key that differs
+        # from both sorted neighbors is an edge paired exactly once.
+        key = np.sort(np.minimum(u, v)[ok] * n + np.maximum(u, v)[ok])
+        fresh = key[1:] != key[:-1]
+        single = np.ones(len(key), dtype=bool)
+        single[1:] = fresh
+        single[:-1] &= fresh
+        simple = int(np.count_nonzero(single))
         if simple == len(u):  # perfect simple pairing
             return from_edges(
                 np.column_stack([u, v]), num_vertices=n, name=name or f"reg_{n}_{d}"
             )
         if best is None or simple > best[0]:
-            keep = ok & np.isin(key, uniq_key[counts == 1])
-            best = (simple, u[keep].copy(), v[keep].copy())
+            best = (simple, key[single])
     assert best is not None
     return from_edges(
-        np.column_stack([best[1], best[2]]),
+        np.column_stack(np.divmod(best[1], n)),
         num_vertices=n,
         name=name or f"reg_{n}_{d}",
     )

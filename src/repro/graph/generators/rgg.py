@@ -7,9 +7,12 @@ degree grows slowly with scale (Table I shows 9.78 at scale 15 up to
 15.8 at scale 24 — the DIMACS10 family uses r ~ sqrt(ln(n)/n)).
 
 :func:`rgg` generates the same family from scratch.  A uniform spatial
-grid of cell size r makes neighbor search O(n) expected: each point only
-compares against points in its own and the 8 adjacent cells, vectorized
-per cell-pair offset.
+grid of cells of side at least r makes neighbor search O(n) expected:
+each point is only compared against the points of its own and the 8
+adjacent cells.  The search is one vectorized pass per forward cell
+offset over all points at once, in blocks of at most
+:data:`PAIR_BLOCK` candidate pairs, so no Python loop runs per cell and
+the candidate arrays stay bounded at every scale.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ from ..build import from_arcs
 from ..csr import CSRGraph
 
 __all__ = ["rgg", "rgg_scale", "dimacs10_radius"]
+
+#: Most candidate pairs :func:`_radius_pairs` materializes at once, so
+#: its working set beyond the n-long arrays stays bounded at any scale.
+PAIR_BLOCK = 1 << 18
 
 
 def dimacs10_radius(n: int) -> float:
@@ -86,22 +93,26 @@ def rgg_scale(scale: int, *, rng: RngLike = None) -> CSRGraph:
 def _radius_pairs(pts: np.ndarray, r: float):
     """All index pairs (i < j) with ``|pts[i]-pts[j]| <= r``.
 
-    Grid-bucket approach: points are binned into cells of side r; each
-    unordered pair of nearby cells is checked with one vectorized
-    distance computation.  Within-cell pairs use a triangular mask.
+    Cell-list search: points are sorted once by their cell of side
+    ``>= r``, so each cell is a contiguous run of sorted positions.
+    Every nearby pair lies in one cell or in two adjacent cells; the 5
+    forward offsets cover each unordered cell pair exactly once.  Per
+    offset, each point's candidates are one contiguous run (the other
+    cell, or its successors within its own cell), expanded with
+    ``repeat``/``arange`` ramps in blocks of at most
+    :data:`PAIR_BLOCK` candidates.
     """
     n = len(pts)
     ncell = max(1, int(1.0 / r))
     cell = np.minimum((pts * ncell).astype(np.int64), ncell - 1)
     cid = cell[:, 0] * ncell + cell[:, 1]
     order = np.argsort(cid, kind="stable")
-    cid_sorted = cid[order]
-    # Slice boundaries per occupied cell.
-    boundaries = np.flatnonzero(np.diff(cid_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [n]])
-    occupied = cid_sorted[starts]
-    cell_slice = {int(c): (int(s), int(e)) for c, s, e in zip(occupied, starts, ends)}
+    sorted_pts = pts[order]
+    cid = cid[order]
+    starts = np.zeros(ncell * ncell + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cid, minlength=ncell * ncell), out=starts[1:])
+    cx, cy = np.divmod(cid, ncell)
+    pos = np.arange(n, dtype=np.int64)
 
     r2 = r * r
     out_src = []
@@ -109,29 +120,36 @@ def _radius_pairs(pts: np.ndarray, r: float):
     # Offsets covering each unordered cell pair exactly once: self plus
     # the 4 "forward" neighbors (E, SW, S, SE) in lexicographic order.
     fwd = ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1))
-    for c in cell_slice:
-        cx, cy = divmod(c, ncell)
-        s0, e0 = cell_slice[c]
-        a = order[s0:e0]
-        pa = pts[a]
-        for dx, dy in fwd:
+    for dx, dy in fwd:
+        if (dx, dy) == (0, 0):
+            lo = pos + 1  # j > i within the point's own cell
+            hi = starts[cid + 1]
+        else:
             nx, ny = cx + dx, cy + dy
-            if not (0 <= nx < ncell and 0 <= ny < ncell):
-                continue
-            nb = nx * ncell + ny
-            if nb not in cell_slice:
-                continue
-            s1, e1 = cell_slice[nb]
-            b = order[s1:e1]
-            pb = pts[b]
-            d2 = ((pa[:, None, :] - pb[None, :, :]) ** 2).sum(axis=2)
-            if (dx, dy) == (0, 0):
-                ii, jj = np.nonzero(np.triu(d2 <= r2, k=1))
-            else:
-                ii, jj = np.nonzero(d2 <= r2)
-            if len(ii):
-                out_src.append(a[ii])
-                out_dst.append(b[jj])
+            inside = (nx >= 0) & (nx < ncell) & (ny >= 0) & (ny < ncell)
+            nb = np.where(inside, nx * ncell + ny, 0)
+            lo = starts[nb]
+            hi = np.where(inside, starts[nb + 1], lo)
+        count = hi - lo
+        ends = np.cumsum(count)
+        p0 = 0
+        while p0 < n:
+            # The longest run of points whose candidates fit one block
+            # (at least one point, so a single huge cell still advances).
+            base = ends[p0 - 1] if p0 else 0
+            p1 = max(p0 + 1, int(np.searchsorted(ends, base + PAIR_BLOCK, "right")))
+            total = int(ends[p1 - 1] - base)
+            if total:
+                k = count[p0:p1]
+                i = np.repeat(pos[p0:p1], k)
+                # Ramp: candidate t of point p is sorted position lo[p] + t.
+                j = np.repeat(lo[p0:p1] - (ends[p0:p1] - k - base), k)
+                j += np.arange(total, dtype=np.int64)
+                diff = sorted_pts[i] - sorted_pts[j]
+                hit = (diff ** 2).sum(axis=1) <= r2
+                out_src.append(order[i[hit]])
+                out_dst.append(order[j[hit]])
+            p0 = p1
     if not out_src:
         e = np.empty(0, dtype=np.int64)
         return e, e.copy()

@@ -20,8 +20,14 @@ _FORMAT_VERSION = 1
 
 
 def save_npz(graph: CSRGraph, path: Union[str, Path]) -> None:
-    """Serialize ``graph`` to a compressed ``.npz`` snapshot."""
-    np.savez_compressed(
+    """Serialize ``graph`` to an uncompressed ``.npz`` snapshot.
+
+    The members are stored, not deflated: zlib cost more than the
+    generation it caches, and zip's per-member CRC-32 still makes
+    :func:`load_npz` reject a damaged entry.  Snapshots written
+    compressed (the earlier format) load unchanged.
+    """
+    np.savez(
         path,
         version=np.int64(_FORMAT_VERSION),
         offsets=graph.offsets,

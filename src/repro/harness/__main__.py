@@ -431,30 +431,74 @@ def _serve_config(args):
     )
 
 
-def _parse_request_line(obj: dict):
-    """One JSONL object → a ColoringRequest.  Inline CSR graphs are
-    given as ``{"graph": {"offsets": [...], "indices": [...]}}``; one
-    that is not a valid undirected CSR makes the line a ``rejected``
-    ColoringResponse with reason ``invalid_graph: …`` instead."""
+#: JSONL request fields besides ``graph`` and the JSON types each takes
+#: (``bool`` is excluded from the numbers, although Python counts it).
+_REQUEST_FIELDS = {
+    "impl": (str,),
+    "dataset": (str, type(None)),
+    "seed": (int,),
+    "backend": (str, type(None)),
+    "deadline_s": (int, float, type(None)),
+    "scale_div": (int, type(None)),
+    "request_id": (str,),
+}
+
+
+def _request_line_error(obj) -> Optional[str]:
+    """Why a parsed JSONL value is not a well-formed request object
+    (unknown key, missing ``impl``, wrong-typed field), or None."""
+    if not isinstance(obj, dict):
+        return f"expected a JSON object, got {type(obj).__name__}"
+    for key, value in obj.items():
+        if key == "graph":
+            if not isinstance(value, dict):
+                return f"field 'graph' must be an object, got {type(value).__name__}"
+            continue
+        types = _REQUEST_FIELDS.get(key)
+        if types is None:
+            return f"unknown field {key!r}"
+        if isinstance(value, bool) or not isinstance(value, types):
+            return f"field {key!r} has type {type(value).__name__}"
+    if "impl" not in obj:
+        return "missing field 'impl'"
+    return None
+
+
+def _parse_request_line(obj):
+    """One parsed JSONL value → a ColoringRequest.  Inline CSR graphs
+    are given as ``{"graph": {"offsets": [...], "indices": [...]}}``.
+    A line that is not a well-formed request object becomes a
+    ``rejected`` ColoringResponse with reason ``bad_request: …``, and
+    one whose graph is not a valid undirected CSR one with reason
+    ``invalid_graph: …``."""
     from ..errors import GraphError
     from ..graph.csr import CSRGraph
     from ..serve import ColoringRequest, ColoringResponse
 
+    def rejected(reason: str, dataset: str = ""):
+        fields = obj if isinstance(obj, dict) else {}
+        return ColoringResponse(
+            request_id=str(fields.get("request_id", "")),
+            status="rejected",
+            impl=str(fields.get("impl", "")),
+            dataset=dataset or str(fields.get("dataset") or ""),
+            reason=reason,
+        )
+
+    error = _request_line_error(obj)
+    if error is not None:
+        return rejected(f"bad_request: {error}")
     graph_doc = obj.pop("graph", None)
     if graph_doc is not None:
-        name = graph_doc.get("name", "inline")
+        name = str(graph_doc.get("name", "inline"))
         try:
             obj["graph"] = CSRGraph(
                 graph_doc["offsets"], graph_doc["indices"], name=name
             )
-        except GraphError as exc:
-            return ColoringResponse(
-                request_id=str(obj.get("request_id", "")),
-                status="rejected",
-                impl=str(obj.get("impl", "")),
-                dataset=name,
-                reason=f"invalid_graph: {exc}",
-            )
+        except KeyError as exc:
+            return rejected(f"invalid_graph: missing {exc}", name)
+        except (GraphError, ValueError, TypeError) as exc:
+            return rejected(f"invalid_graph: {exc}", name)
     return ColoringRequest(**obj)
 
 
@@ -484,13 +528,14 @@ def _cmd_serve(args, parser) -> int:
         if not line or line.startswith("#"):
             continue
         try:
-            requests.append(_parse_request_line(json.loads(line)))
-        except (ValueError, TypeError, KeyError) as exc:
+            obj = json.loads(line)
+        except ValueError as exc:  # not JSON at all: the file is wrong
             print(
                 f"error: {path}:{lineno}: bad request line: {exc}",
                 file=sys.stderr,
             )
             return EXIT_USAGE
+        requests.append(_parse_request_line(obj))
     if not requests:
         print(f"error: {path}: no requests", file=sys.stderr)
         return EXIT_USAGE

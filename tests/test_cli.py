@@ -310,3 +310,57 @@ class TestHarnessServeCommand:
         )
         assert bad["impl"] == "cpu.greedy" and bad["attempts"] == 0
         assert good["status"] == "ok" and good["num_colors"] == 2
+
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ('{"impl": "cpu.greedy", "dataset": "offshore", "colour": 3}',
+             "bad_request: unknown field 'colour'"),
+            ('{"impl": "cpu.greedy", "dataset": "offshore", "seed": "7"}',
+             "bad_request: field 'seed' has type str"),
+            ('{"impl": "cpu.greedy", "dataset": "offshore", "seed": true}',
+             "bad_request: field 'seed' has type bool"),
+            ('{"impl": 3, "dataset": "offshore"}',
+             "bad_request: field 'impl' has type int"),
+            ('{"dataset": "offshore"}', "bad_request: missing field 'impl'"),
+            ('{"impl": "cpu.greedy", "graph": [0, 1]}',
+             "bad_request: field 'graph' must be an object, got list"),
+            ('["cpu.greedy", "offshore"]',
+             "bad_request: expected a JSON object, got list"),
+            ('{"impl": "cpu.greedy", "graph": {"offsets": [0, 0]}}',
+             "invalid_graph: missing 'indices'"),
+        ],
+    )
+    def test_malformed_request_object_is_rejected_not_fatal(
+        self, line, reason, tmp_path, monkeypatch, capsys
+    ):
+        """A JSON line that is not a well-formed request (unknown key,
+        wrong-typed or missing field) ends its own line ``rejected`` with
+        a ``bad_request`` reason; the other lines still run."""
+        monkeypatch.chdir(tmp_path)
+        req = tmp_path / "req.jsonl"
+        req.write_text(
+            line + "\n"
+            '{"impl": "cpu.greedy", "graph": {"offsets": [0, 1, 2], "indices": [1, 0]}}\n'
+        )
+        out = tmp_path / "resp.jsonl"
+        assert harness_main(["serve", str(req), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        assert "ok=1, rejected=1" in captured.out
+        bad, good = [json.loads(x) for x in out.read_text().splitlines()]
+        assert bad["status"] == "rejected" and bad["attempts"] == 0
+        assert bad["reason"] == reason
+        assert good["status"] == "ok" and good["num_colors"] == 2
+
+    def test_text_that_is_not_json_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        req = tmp_path / "req.jsonl"
+        req.write_text(
+            '{"impl": "cpu.greedy", "dataset": "offshore"}\n'
+            "impl=cpu.greedy dataset=offshore\n"
+        )
+        assert harness_main(["serve", str(req)]) == 2
+        assert "req.jsonl:2: bad request line" in capsys.readouterr().err

@@ -3,9 +3,12 @@
 import multiprocessing
 import os
 import threading
+import zipfile
 
+import numpy as np
 import pytest
 
+from repro import metrics
 from repro.graph.io import load_npz
 from repro.harness import cache, datasets as ds
 from repro.harness.cache import (
@@ -102,6 +105,57 @@ class TestCorruption:
         assert path is not None and path.stat().st_size == 0
         g = load_cached("offshore", scale_div=512, seed=22)
         assert g == ds.generate("offshore", scale_div=512, seed=22)
+
+
+class TestSnapshotFormat:
+    """Entries are stored uncompressed; zip's per-member CRC-32 is what
+    catches a damaged byte, and the earlier compressed format still
+    loads."""
+
+    def test_entries_are_stored_uncompressed(self):
+        load_cached("ecology2", scale_div=512, seed=30)
+        with zipfile.ZipFile(cache_path("ecology2", 512, 30)) as z:
+            assert {i.compress_type for i in z.infolist()} == {zipfile.ZIP_STORED}
+
+    def test_flipped_indices_byte_detected_and_regenerated(self):
+        good = load_cached("ecology2", scale_div=512, seed=31)
+        path = cache_path("ecology2", 512, 31)
+        clean = path.read_bytes()
+        raw = good.indices.astype("<i8").tobytes()
+        at = clean.find(raw)
+        assert at >= 0  # stored verbatim inside the indices member
+        damaged = bytearray(clean)
+        damaged[at + len(raw) // 2] ^= 0x01
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(zipfile.BadZipFile, match="indices"):
+            load_npz(path)
+        with metrics.activate() as reg:
+            again = load_cached("ecology2", scale_div=512, seed=31)
+        assert reg.get("repro_cache_corrupt_total", dataset="ecology2") == 1.0
+        assert reg.get("repro_cache_misses_total", dataset="ecology2") == 1.0
+        rewritten = load_npz(path)
+        for arr in ("offsets", "indices"):
+            assert getattr(again, arr).tobytes() == getattr(good, arr).tobytes()
+            assert getattr(rewritten, arr).tobytes() == getattr(good, arr).tobytes()
+
+    def test_compressed_entry_from_earlier_format_is_a_hit(self):
+        fresh = ds.generate("ecology2", scale_div=512, seed=32)
+        path = cache_path("ecology2", 512, 32)
+        np.savez_compressed(
+            path,
+            version=np.int64(1),
+            offsets=fresh.offsets,
+            indices=fresh.indices,
+            undirected=np.bool_(fresh.undirected),
+            name=np.str_(fresh.name),
+        )
+        before = path.read_bytes()
+        with metrics.activate() as reg:
+            got = load_cached("ecology2", scale_div=512, seed=32)
+        assert got == fresh
+        assert reg.get("repro_cache_hits_total", dataset="ecology2") == 1.0
+        assert reg.get("repro_cache_misses_total", dataset="ecology2") == 0.0
+        assert path.read_bytes() == before  # served, not regenerated
 
 
 class TestStaleTmpSweep:

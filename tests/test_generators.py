@@ -1,12 +1,16 @@
 """Tests for the synthetic graph generators (Table I analogues, RGG,
 random families)."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro._rng import ensure_rng
 from repro.errors import DatasetError, GeneratorError
+from repro.graph.build import from_edges
 from repro.graph.generators import (
     banded,
     barabasi_albert,
@@ -23,12 +27,16 @@ from repro.graph.generators import (
     watts_strogatz,
 )
 from repro.graph.generators.random_graphs import _decode_triangular
+from repro.graph.generators.rgg import _radius_pairs
 from repro.graph.generators.suitesparse import (
     SUITESPARSE_ANALOGUES,
     dataset_names,
     generate,
     get_spec,
 )
+
+#: The module itself (the package re-exports a function named ``rgg``).
+rgg_module = importlib.import_module("repro.graph.generators.rgg")
 
 
 class TestRGG:
@@ -75,6 +83,133 @@ class TestRGG:
 
     def test_deterministic(self):
         assert rgg(100, rng=5) == rgg(100, rng=5)
+
+
+def _radius_pairs_per_cell(pts, r):
+    """The per-cell-pair loop the vectorized cell-list search replaced:
+    one dense distance block per (occupied cell, forward neighbor)."""
+    n = len(pts)
+    ncell = max(1, int(1.0 / r))
+    cell = np.minimum((pts * ncell).astype(np.int64), ncell - 1)
+    cid = cell[:, 0] * ncell + cell[:, 1]
+    order = np.argsort(cid, kind="stable")
+    cid_sorted = cid[order]
+    boundaries = np.flatnonzero(np.diff(cid_sorted)) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [n]])
+    occupied = cid_sorted[starts]
+    cell_slice = {int(c): (int(s), int(e)) for c, s, e in zip(occupied, starts, ends)}
+    r2 = r * r
+    out_src, out_dst = [], []
+    for c in cell_slice:
+        cx, cy = divmod(c, ncell)
+        s0, e0 = cell_slice[c]
+        a = order[s0:e0]
+        pa = pts[a]
+        for dx, dy in ((0, 0), (0, 1), (1, -1), (1, 0), (1, 1)):
+            nx, ny = cx + dx, cy + dy
+            if not (0 <= nx < ncell and 0 <= ny < ncell):
+                continue
+            nb = nx * ncell + ny
+            if nb not in cell_slice:
+                continue
+            s1, e1 = cell_slice[nb]
+            b = order[s1:e1]
+            d2 = ((pa[:, None, :] - pts[b][None, :, :]) ** 2).sum(axis=2)
+            if (dx, dy) == (0, 0):
+                ii, jj = np.nonzero(np.triu(d2 <= r2, k=1))
+            else:
+                ii, jj = np.nonzero(d2 <= r2)
+            out_src.append(a[ii])
+            out_dst.append(b[jj])
+    if not out_src:
+        e = np.empty(0, dtype=np.int64)
+        return e, e.copy()
+    return np.concatenate(out_src), np.concatenate(out_dst)
+
+
+def _pair_keys(src, dst, n):
+    """Sorted unordered-pair keys (multiplicity kept)."""
+    return np.sort(np.minimum(src, dst) * n + np.maximum(src, dst))
+
+
+@st.composite
+def point_clouds(draw):
+    """(points, r): uniform points mixed with duplicates and points
+    exactly on cell boundaries, r from one cell up to a fine grid."""
+    r = draw(
+        st.one_of(
+            st.floats(0.5, 1.0, exclude_min=True),  # a single cell
+            st.sampled_from([1 / 2, 1 / 3, 1 / 4, 1 / 5, 1 / 8, 1 / 10]),
+            st.floats(0.02, 1.0),
+        )
+    )
+    ncell = max(1, int(1.0 / r))
+    coord = st.one_of(
+        st.floats(0.0, 1.0),
+        st.integers(0, ncell).map(lambda k: k / ncell),  # on a boundary
+    )
+    n = draw(st.integers(2, 60))
+    pts = [[draw(coord), draw(coord)] for _ in range(n)]
+    for _ in range(draw(st.integers(0, 5))):  # duplicate points
+        pts.append(list(pts[draw(st.integers(0, len(pts) - 1))]))
+    return np.asarray(pts, dtype=np.float64), r
+
+
+class TestRadiusPairsCellList:
+    """The vectorized cell-list search finds exactly the pairs of the
+    per-cell-pair loop it replaced."""
+
+    @given(point_clouds())
+    @settings(max_examples=200, deadline=None)
+    def test_same_pairs_as_per_cell_loop(self, cloud):
+        pts, r = cloud
+        n = len(pts)
+        src, dst = _radius_pairs(pts, r)
+        assert src.dtype == dst.dtype == np.int64
+        assert (src != dst).all()
+        np.testing.assert_array_equal(
+            _pair_keys(src, dst, n),
+            _pair_keys(*_radius_pairs_per_cell(pts, r), n),
+        )
+
+    @pytest.mark.parametrize("r", [1.0, 0.7, 0.5, 0.25, 0.1, 0.05])
+    def test_two_points(self, r):
+        for pts in ([[0.1, 0.1], [0.1 + r, 0.1]], [[0.5, 0.5], [0.5, 0.5]],
+                    [[0.0, 0.0], [0.9, 0.9]]):
+            pts = np.asarray(pts)
+            np.testing.assert_array_equal(
+                _pair_keys(*_radius_pairs(pts, r), 2),
+                _pair_keys(*_radius_pairs_per_cell(pts, r), 2),
+            )
+
+    @pytest.mark.parametrize("cap", [1, 2, 3, 7])
+    def test_tiny_block_cap(self, cap, monkeypatch):
+        pts = ensure_rng(5).random((400, 2))
+        r = 0.09
+        want = _pair_keys(*_radius_pairs(pts, r), 400)
+        monkeypatch.setattr(rgg_module, "PAIR_BLOCK", cap)
+        got = _pair_keys(*_radius_pairs(pts, r), 400)
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(
+            got, _pair_keys(*_radius_pairs_per_cell(pts, r), 400)
+        )
+
+    def test_block_cap_bounds_candidates(self, monkeypatch):
+        """No block materializes more than PAIR_BLOCK candidates unless
+        one point alone has more."""
+        sizes = []
+        real_repeat = np.repeat
+
+        def spy(a, repeats, *args, **kwargs):
+            out = real_repeat(a, repeats, *args, **kwargs)
+            sizes.append(len(out))
+            return out
+
+        monkeypatch.setattr(rgg_module, "PAIR_BLOCK", 50)
+        monkeypatch.setattr(rgg_module.np, "repeat", spy)
+        _radius_pairs(ensure_rng(2).random((300, 2)), 0.1)
+        assert sizes and max(sizes) <= 50
 
 
 class TestMeshes:
@@ -171,6 +306,33 @@ class TestRandomFamilies:
     def test_random_regular_exact_common_case(self):
         g = random_regular(100, 3, rng=0)
         assert g.num_vertices == 100
+
+    @pytest.mark.parametrize(
+        "n, d, seed", [(40, 4, 1), (20, 15, 4), (30, 24, 5), (12, 9, 2)]
+    )
+    def test_random_regular_matches_unique_isin(self, n, d, seed):
+        """Same shuffles, same best pairing as the ``np.unique`` /
+        ``np.isin`` selection the sorted-key scan replaced."""
+        gen = ensure_rng(seed)
+        stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+        best = None
+        for _ in range(200):
+            gen.shuffle(stubs)
+            u, v = stubs[0::2], stubs[1::2]
+            ok = u != v
+            key = np.minimum(u, v) * n + np.maximum(u, v)
+            uniq_key, counts = np.unique(key[ok], return_counts=True)
+            simple = int((counts == 1).sum())
+            if simple == len(u):
+                best = (simple, u.copy(), v.copy())
+                break
+            if best is None or simple > best[0]:
+                keep = ok & np.isin(key, uniq_key[counts == 1])
+                best = (simple, u[keep].copy(), v[keep].copy())
+        want = from_edges(np.column_stack([best[1], best[2]]), num_vertices=n)
+        got = random_regular(n, d, rng=seed)
+        np.testing.assert_array_equal(got.offsets, want.offsets)
+        np.testing.assert_array_equal(got.indices, want.indices)
 
     def test_random_regular_validation(self):
         with pytest.raises(GeneratorError):

@@ -79,6 +79,35 @@ class TestFromArcs:
             from_arcs(np.array([0]), np.array([1, 2]), 3, undirected=False)
 
 
+def _from_arcs_stable_argsort(src, dst, n):
+    """The stable-argsort canonicalization ``from_arcs`` replaced:
+    (offsets, indices) of the sorted, deduplicated non-loop arcs."""
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    key = src * n + dst
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    uniq = np.ones(len(key), dtype=bool)
+    uniq[1:] = key[1:] != key[:-1]
+    src, dst = src[order][uniq], dst[order][uniq]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+    return offsets, dst
+
+
+@given(st.data(), st.integers(1, 30), st.integers(0, 120))
+@settings(max_examples=100, deadline=None)
+def test_from_arcs_matches_stable_argsort(data, n, m):
+    ids = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    src = np.asarray(data.draw(ids), dtype=np.int64)
+    dst = np.asarray(data.draw(ids), dtype=np.int64)
+    g = from_arcs(src, dst, n, undirected=False)
+    offsets, indices = _from_arcs_stable_argsort(src, dst, n)
+    assert g.offsets.dtype == g.indices.dtype == np.int64
+    np.testing.assert_array_equal(g.offsets, offsets)
+    np.testing.assert_array_equal(g.indices, indices)
+
+
 class TestFromAdjacency:
     def test_dense_symmetric(self):
         adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]])
