@@ -92,7 +92,6 @@ ALGORITHMS: Dict[str, Callable[..., ColoringResult]] = {
     # -- references & extensions ----------------------------------------------
     "cpu.greedy_lf": _cpu(greedy_coloring, ordering="largest_first"),
     "cpu.greedy_sl": _cpu(greedy_coloring, ordering="smallest_last"),
-    "cpu.greedy_random": _cpu(greedy_coloring, ordering="random"),
     "cpu.dsatur": _cpu_nornd(dsatur_coloring),
     "cpu.gm": _cpu(gebremedhin_manne_coloring),
     "cpu.rlf": _cpu_nornd(rlf_coloring),

@@ -1,83 +1,43 @@
 """Command-line entry point: regenerate the paper's tables and figures.
 
-Examples::
-
-    python -m repro.harness table1
-    python -m repro.harness table2 --scale-div 16
-    python -m repro.harness fig1 --csv out.csv
-    python -m repro.harness fig1 --jobs 8 --timeout 120   # fault-tolerant
-    python -m repro.harness fig1 --jobs 8 --resume        # after a SIGINT
-    python -m repro.harness fig1 --trace                  # per-phase columns
-    python -m repro.harness trace G3_circuit gunrock.hash --out t.json
-    python -m repro.harness bench --compare benchmarks/baseline.json
-    python -m repro.harness all
-
-``python -m repro.harness lint`` runs the repro-lint static checks
-(:mod:`repro.analysis`) over the installed package — the same gate CI
-applies — without touching any experiment machinery.
-
-``python -m repro.harness trace <dataset> <impl>`` runs one traced
-repetition and prints the per-kernel and per-phase breakdowns recorded
-by :mod:`repro.trace`; ``--out`` additionally writes the Chrome
-``trace_event`` JSON that chrome://tracing and https://ui.perfetto.dev
-load directly (see docs/observability.md).
-
-``python -m repro.harness bench`` runs the pinned benchmark suite and
-writes ``BENCH_<git-sha>.json`` (``--out DIR``, default
-``benchmarks/out``); ``--compare BASELINE`` diffs the fresh run against
-a committed baseline and exits 5 on regression (see
-docs/observability.md for the workflow and ``--write-baseline``).
-
-``python -m repro.harness scale`` runs the multi-device strong/weak
-scaling study over the distributed implementations (``--devices
-1,2,4,8,16``, ``--quick`` for CI-sized graphs, ``--json`` for the
-artifact); the 1-device cells are cross-checked bit-identical against
-the single-device implementations and a mismatch exits 3 (see
-docs/distributed.md).
-
-``python -m repro.harness serve REQUESTS.jsonl`` runs a batch of
-requests (one JSON object per line: ``{"impl": ..., "dataset": ...,
-"seed": ..., "deadline_s": ...}``) through an in-process
-:mod:`repro.serve` service and writes one terminal response per line
-(``--out``); ``python -m repro.harness loadgen`` synthesizes bursty
-Zipf-over-datasets traffic instead and writes a latency/outcome
-snapshot — the chaos-CI entry point (see docs/serving.md).  Both exit
-3 when any request failed or went unanswered; shed/timed-out requests
-are legitimate terminal outcomes and reported in the summary.
-
-Any experiment accepts ``--metrics-out PATH`` (dump the session's
-metrics registry as Prometheus text or JSON, by extension) and
-``--log PATH`` (append the structured JSONL run-log there) — the CLI
-faces of :mod:`repro.metrics` and :mod:`repro.log`.
+``python -m repro.harness --help`` lists the commands and
+``python -m repro.harness COMMAND --help`` the flags that command takes.
+Every command takes ``--metrics-out PATH`` and ``--log PATH``; any
+other flag belongs only to the commands that read it.
 
 Exit status: 0 when every cell of every requested experiment
 completed with a valid coloring; 2 on usage errors (argparse's
-convention); 3 when the run finished but one or more cells failed or
-produced an invalid coloring (the partial tables are still printed —
-scripts and CI use the exit code to detect degraded runs), or when
-``profile``/``trace`` targets an implementation that records no
-counters/trace; 4 when ``lint`` found violations; 5 when ``bench
+convention: an unknown command, a flag the command does not take, or
+an out-of-range value); 3 when the run finished but one or more cells
+failed or produced an invalid coloring (the partial tables are still
+printed — scripts and CI use the exit code to detect degraded runs),
+when ``profile``/``trace`` targets an implementation that records no
+counters/trace, or when ``serve``/``loadgen`` left a request failed or
+unanswered; 4 when ``lint`` found violations; 5 when ``bench
 --compare`` detected a regression against the baseline.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from contextlib import ExitStack
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .. import metrics
 from .. import log as runlog
 from .._rng import DEFAULT_SEED
+from ..backend import KNOWN_BACKENDS
 from ..graph.generators.suitesparse import DEFAULT_SCALE_DIV
+from .bench import DEFAULT_WALL_TOL
 from .figures import fig1_series, fig2_series, fig3_series
 from .report import failure_summary, format_table, to_csv
 from .runner import DEFAULT_RETRIES, _fork_context
+from .scale import DEFAULT_DEVICES
 from .tables import table1_rows, table2_rows
 
 EXPERIMENTS = ("table1", "table2", "fig1", "fig2", "fig3")
-PROFILE_USAGE = "profile:DATASET:ALGO[,ALGO2]"
 
 #: Exit code for usage errors (argparse's convention; also used for
 #: 'bench --compare' across mismatched backends).
@@ -113,17 +73,49 @@ def _emit(rows, title: str, csv_path: Optional[str], json_path: Optional[str] = 
         )
 
 
-def _emit_phase_breakdown(cells, title: str, csv_path: Optional[str]) -> None:
-    """The per-phase ``Sim ms [...]`` columns for a traced grid run."""
+def _emitter(args, scale_div: int) -> Callable:
+    """:func:`_emit` bound to this run's ``--csv``/``--json`` paths and
+    the seed and scale its snapshots record."""
+    return functools.partial(
+        _emit,
+        csv_path=args.csv,
+        json_path=args.json,
+        seed=args.seed,
+        scale_div=scale_div,
+    )
+
+
+def _grid_kwargs(args) -> dict:
+    """The grid-runner keywords the grid flags set."""
+    return dict(
+        seed=args.seed,
+        repetitions=args.repetitions,
+        jobs=args.jobs,
+        timeout=args.timeout,
+        retries=args.retries,
+        resume=args.resume,
+        journal=False if args.no_journal else None,
+        trace=args.trace,
+        backend=args.backend,
+    )
+
+
+def _grid_outcome(args, cells, label: str) -> list:
+    """Print a traced run's per-phase ``Sim ms [...]`` columns; return
+    the failed or invalid cells."""
     from .runner import grid_to_rows
 
-    rows = grid_to_rows(cells)
-    if not rows:
-        return
-    keep = ["Dataset", "Algorithm"] + [
-        k for k in rows[0] if k.startswith("Sim ms")
-    ]
-    _emit([{k: r[k] for k in keep} for r in rows], title, csv_path)
+    rows = grid_to_rows(cells) if args.trace else []
+    if rows:
+        keep = ["Dataset", "Algorithm"] + [
+            k for k in rows[0] if k.startswith("Sim ms")
+        ]
+        _emit(
+            [{k: r[k] for k in keep} for r in rows],
+            f"{label}: per-phase sim_ms (traced)",
+            args.csv,
+        )
+    return [c for c in cells if not c.ok or not c.valid]
 
 
 def _speedup_table(doc) -> str:
@@ -153,269 +145,325 @@ def _write_metrics(reg, path: str) -> None:
     print(f"wrote metrics to {path}")
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness",
-        description="Regenerate the tables and figures of "
-        "'Graph Coloring on the GPU' (Osama et al., 2019).",
-    )
-    parser.add_argument(
-        "experiment",
-        help="one of %s, 'all', 'profile', 'trace', 'bench', 'scale', "
-        "'serve', 'loadgen', or 'lint'" % ", ".join(EXPERIMENTS),
-    )
-    parser.add_argument(
-        "targets",
-        nargs="*",
-        help="for 'trace': the <dataset> <implementation> pair to record; "
-        "for 'serve': the JSONL request file to run through the service",
-    )
-    parser.add_argument(
-        "--dataset", default="G3_circuit", help="dataset for 'profile'"
-    )
-    parser.add_argument(
-        "--algorithms",
-        default="graphblas.mis",
-        help="comma-separated (1-2) implementation ids for 'profile'",
-    )
-    parser.add_argument(
-        "--scale-div",
-        type=int,
-        default=DEFAULT_SCALE_DIV,
-        help="dataset down-scaling divisor (1 = paper-scale vertices)",
-    )
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument(
-        "--repetitions",
-        type=int,
-        default=None,
-        help="repetitions per grid cell (default: 3 for experiments, "
-        "1 for 'bench' — its quantities are deterministic given the seed)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker processes for grid experiments (1 = sequential; "
-        "results are bit-identical at any worker count)",
-    )
-    parser.add_argument(
-        "--timeout",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="wall-clock budget per repetition (default: unbounded); "
-        "a timed-out repetition is retried, then marked failed",
-    )
-    parser.add_argument(
-        "--retries",
-        type=int,
-        default=DEFAULT_RETRIES,
-        help="retry budget per repetition for transient failures — "
-        "worker crashes and timeouts (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help="resume an interrupted run from its checkpoint journal: "
-        "only repetitions missing from the journal execute, and the "
-        "merged results are bit-identical to an uninterrupted run",
-    )
-    parser.add_argument(
-        "--no-journal",
-        action="store_true",
-        help="skip writing the checkpoint journal (journaling is "
-        "default-on; see docs/robustness.md)",
-    )
-    parser.add_argument(
-        "--csv", default=None, help="also append series to this CSV file"
-    )
-    parser.add_argument(
-        "--json",
-        default=None,
-        help="write the last emitted series as a JSON snapshot "
-        "(includes seed, scaling, and all cost-model constants)",
-    )
-    parser.add_argument(
-        "--chart",
-        action="store_true",
-        help="render ASCII charts of the figure series",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="record structured traces during grid experiments and add "
-        "per-phase 'Sim ms [...]' columns (see docs/observability.md)",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="for 'trace': write the Chrome trace_event JSON here; for "
-        "'bench': the output directory for BENCH_<sha>.json (default "
-        f"{BENCH_OUT_DIR})",
-    )
-    parser.add_argument(
-        "--backend",
-        default=None,
-        metavar="NAME",
-        help="kernel-execution backend (reference, numba, cnative; "
-        "default: $REPRO_BACKEND or reference).  All simulated "
-        "quantities are bit-identical across backends; only wall "
-        "clock changes (see docs/backends.md)",
-    )
-    parser.add_argument(
-        "--compare",
-        default=None,
-        metavar="BASELINE",
-        help="for 'bench': diff the fresh run against this baseline "
-        "bench JSON and exit 5 on regression",
-    )
-    parser.add_argument(
-        "--ignore-backend",
-        action="store_true",
-        help="for 'bench --compare': allow diffing documents produced "
-        "on different backends (sim quantities stay bit-exact; wall "
-        "clock keeps its usual slack band)",
-    )
-    parser.add_argument(
-        "--wall-tol",
-        type=float,
-        default=None,
-        metavar="FACTOR",
-        help="for 'bench --compare': multiplicative wall_s tolerance "
-        "(default 10; sim_ms/colors are always bit-exact)",
-    )
-    parser.add_argument(
-        "--devices",
-        default=None,
-        metavar="COUNTS",
-        help="for 'scale': comma-separated device counts to sweep "
-        "(default: 1,2,4,8,16)",
-    )
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="for 'scale': CI-sized graphs (the scale-smoke lane)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        default=None,
-        metavar="PATH",
-        help="for 'bench': also write the fresh run to PATH (how "
-        "benchmarks/baseline.json is (re)generated)",
-    )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        metavar="PATH",
-        help="collect session metrics and write them to PATH on exit "
-        "(.prom/.txt = Prometheus text exposition, otherwise JSON)",
-    )
-    parser.add_argument(
-        "--log",
-        default=None,
-        metavar="PATH",
-        help="append the structured JSONL run-log to PATH "
-        "(equivalent to REPRO_LOG=PATH; see docs/observability.md)",
-    )
-    serve_group = parser.add_argument_group(
-        "serve/loadgen", "coloring-service options (docs/serving.md)"
-    )
-    serve_group.add_argument(
-        "--serve-workers",
-        type=int,
-        default=2,
-        metavar="N",
-        help="service worker tasks / compute threads (default: %(default)s)",
-    )
-    serve_group.add_argument(
-        "--queue-limit",
-        type=int,
-        default=16,
-        metavar="N",
-        help="bounded admission-queue depth; excess load is shed with "
-        "reason 'queue_full' (default: %(default)s)",
-    )
-    serve_group.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="per-request deadline (default: unbounded); an expired "
-        "request is answered 'timeout', never dropped",
-    )
-    serve_group.add_argument(
-        "--requests",
-        type=int,
-        default=60,
-        metavar="N",
-        help="for 'loadgen': number of requests to synthesize "
-        "(default: %(default)s)",
-    )
-    serve_group.add_argument(
-        "--datasets",
-        default="ecology2,offshore,G3_circuit",
-        metavar="NAMES",
-        help="for 'loadgen': comma-separated dataset popularity ranking "
-        "(Zipf over this order; default: %(default)s)",
-    )
-    serve_group.add_argument(
-        "--impls",
-        default="gunrock.hash,graphblas.mis,cpu.greedy",
-        metavar="IDS",
-        help="for 'loadgen': comma-separated implementation ids drawn "
-        "uniformly (default: %(default)s)",
-    )
-    serve_group.add_argument(
-        "--zipf-s",
-        type=float,
-        default=1.2,
-        metavar="S",
-        help="for 'loadgen': Zipf exponent over --datasets "
-        "(default: %(default)s)",
-    )
-    args = parser.parse_args(argv)
+# -- experiments --------------------------------------------------------------
+# One function per table/figure: print its series and return the
+# failed/invalid grid cells.  ``all`` runs them in EXPERIMENTS order.
 
-    if args.experiment not in ("trace", "serve") and args.targets:
-        parser.error(
-            f"unexpected positional arguments {args.targets!r}; only "
-            "'trace' (<dataset> <implementation>) and 'serve' "
-            "(<requests.jsonl>) take targets"
-        )
-    if args.experiment != "bench" and (
-        args.compare
-        or args.wall_tol is not None
-        or args.write_baseline
-        or args.ignore_backend
-    ):
-        parser.error(
-            "--compare/--wall-tol/--write-baseline/--ignore-backend "
-            "apply only to 'bench'"
-        )
-    if args.experiment != "scale" and (args.devices or args.quick):
-        parser.error("--devices/--quick apply only to 'scale'")
-    if args.backend is not None:
-        from ..backend import BackendError, resolve
 
+def _table1(args) -> list:
+    rows = table1_rows(scale_div=args.scale_div, seed=args.seed)
+    _emitter(args, args.scale_div)(
+        rows, "Table I: Dataset Description (paper vs regenerated)"
+    )
+    return []
+
+
+def _table2(args) -> list:
+    cells: list = []
+    rows = table2_rows(
+        scale_div=args.scale_div, cells_out=cells, **_grid_kwargs(args)
+    )
+    _emitter(args, args.scale_div)(
+        rows, "Table II: Gunrock optimization impact (G3_circuit)"
+    )
+    return _grid_outcome(args, cells, "Table II")
+
+
+def _fig1(args) -> list:
+    series = fig1_series(scale_div=args.scale_div, **_grid_kwargs(args))
+    emit = _emitter(args, args.scale_div)
+    emit(series["speedup_rows"], "Figure 1a: Speedup vs Naumov/JPL")
+    emit(series["color_rows"], "Figure 1b: Number of Colors")
+    gm_rows = [
+        {
+            "Implementation": a,
+            "Geomean speedup": round(v, 3) if v is not None else None,
+        }
+        for a, v in series["geomean"].items()
+    ]
+    emit(gm_rows, "Figure 1a: geometric-mean speedups")
+    bad_cells = _grid_outcome(args, series["cells"], "Figure 1")
+    if args.chart:
+        from .charts import bar_chart
+
+        plottable = {
+            a: v for a, v in series["geomean"].items() if v is not None
+        }
+        print(
+            bar_chart(
+                sorted(plottable.items(), key=lambda kv: -kv[1]),
+                title="Figure 1a (geomean speedup vs naumov.jpl)",
+                reference=1.0,
+            )
+        )
+        print()
+    return bad_cells
+
+
+def _fig2(args) -> list:
+    series = fig2_series(scale_div=args.scale_div, **_grid_kwargs(args))
+    emit = _emitter(args, args.scale_div)
+    emit(series["gunrock"], "Figure 2a: Gunrock time-quality")
+    emit(series["graphblast"], "Figure 2b: GraphBLAST time-quality")
+    return _grid_outcome(args, series["cells"], "Figure 2")
+
+
+def _fig3(args) -> list:
+    cells: list = []
+    rows = fig3_series(cells_out=cells, **_grid_kwargs(args))
+    # The RGG sweep always runs its graphs at full scale.
+    _emitter(args, 1)(rows, "Figure 3: RGG scaling (runtime & colors vs n, m)")
+    bad_cells = _grid_outcome(args, cells, "Figure 3")
+    if args.chart:
+        from .charts import scatter_plot
+
+        series: dict = {}
+        for r in rows:
+            if r["Runtime (ms)"] == "failed":
+                continue
+            series.setdefault(r["Implementation"], []).append(
+                (r["Vertices"], r["Runtime (ms)"])
+            )
+        print(
+            scatter_plot(
+                series,
+                title="Figure 3a (runtime vs vertices, log-log)",
+                logx=True,
+                logy=True,
+                xlabel="vertices",
+                ylabel="ms",
+            )
+        )
+        print()
+    return bad_cells
+
+
+_EXPERIMENTS = dict(zip(EXPERIMENTS, (_table1, _table2, _fig1, _fig2, _fig3)))
+
+
+# -- commands -----------------------------------------------------------------
+# Each takes the parsed args and the parser; returns the exit code.
+
+
+def _cmd_experiments(args, parser) -> int:
+    """``table1`` … ``fig3`` and ``all``."""
+    names = EXPERIMENTS if args.command == "all" else (args.command,)
+    bad_cells = []  # every failed/invalid cell across all experiments
+    for name in names:
+        bad_cells += _EXPERIMENTS[name](args)
+    if bad_cells:
+        print(failure_summary(bad_cells), file=sys.stderr)
+        print(
+            f"error: {len(bad_cells)} grid cell(s) failed or produced "
+            "invalid colorings; results above are partial",
+            file=sys.stderr,
+        )
+        return EXIT_PARTIAL
+    return 0
+
+
+def _cmd_lint(args, parser) -> int:
+    from pathlib import Path
+
+    from ..analysis.engine import analyze_paths
+
+    package_root = Path(__file__).resolve().parents[1]
+    violations = analyze_paths([package_root]).violations
+    for v in violations:
+        print(v.render())
+    if violations:
+        print(
+            f"error: {len(violations)} repro-lint violation(s); see "
+            "docs/static-analysis.md",
+            file=sys.stderr,
+        )
+        return EXIT_LINT
+    print("repro-lint: clean")
+    return 0
+
+
+def _cmd_bench(args, parser) -> int:
+    from .bench import (
+        BenchBackendMismatch,
+        compare_bench,
+        load_bench,
+        run_bench,
+        validate_bench,
+        write_bench,
+    )
+
+    doc = run_bench(
+        scale_div=args.scale_div,
+        seed=args.seed,
+        repetitions=args.repetitions,
+        backend=args.backend,
+    )
+    if doc.get("kernel_speedups"):
+        print(_speedup_table(doc))
+    problems = validate_bench(doc)
+    if problems:  # pragma: no cover — would be a bench.py bug
+        for p in problems:
+            print(f"error: invalid bench document: {p}", file=sys.stderr)
+        return EXIT_PARTIAL
+    path = write_bench(doc, args.out or BENCH_OUT_DIR)
+    print(f"wrote {path}")
+    if args.write_baseline:
+        import shutil
+
+        shutil.copyfile(path, args.write_baseline)
+        print(f"wrote baseline {args.write_baseline}")
+    if args.compare:
         try:
-            resolve(args.backend)  # fail fast on unknown names (exit 2)
-        except BackendError as exc:
-            parser.error(str(exc))
+            baseline = load_bench(args.compare)
+        except (OSError, ValueError) as exc:
+            print(
+                f"error: cannot load baseline {args.compare}: {exc}",
+                file=sys.stderr,
+            )
+            return EXIT_PARTIAL
+        try:
+            regressions = compare_bench(
+                doc,
+                baseline,
+                wall_tol=args.wall_tol,
+                ignore_backend=args.ignore_backend,
+            )
+        except BenchBackendMismatch as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        if regressions:
+            for r in regressions:
+                print(f"regression: {r}", file=sys.stderr)
+            print(
+                f"error: {len(regressions)} benchmark regression(s) vs "
+                f"{args.compare}",
+                file=sys.stderr,
+            )
+            return EXIT_REGRESSION
+        print(f"bench: no regressions vs {args.compare}")
+    failed = [c for c in doc["cells"] if c["status"] != "ok"]
+    if failed:
+        for c in failed:
+            print(
+                f"error: bench cell {c['dataset']}:{c['algorithm']} "
+                f"failed: {c.get('error')}",
+                file=sys.stderr,
+            )
+        return EXIT_PARTIAL
+    return 0
 
-    with ExitStack() as stack:
-        if args.log:
-            stack.enter_context(runlog.activate(args.log))
-        if args.metrics_out:
-            reg = stack.enter_context(metrics.activate())
-            # Registered as a callback, not appended after _dispatch:
-            # ExitStack unwinds LIFO, so when _dispatch raises, the
-            # registry is still written *and then* deactivated — a
-            # failed command must not leak an active registry into
-            # subsequent in-process calls, nor swallow its metrics.
-            stack.callback(_write_metrics, reg, args.metrics_out)
-        rc = _dispatch(args, parser)
-    return rc
+
+def _cmd_scale(args, parser) -> int:
+    from ..errors import HarnessError
+    from .scale import scale_rows, scale_series, write_scale
+
+    cells: list = []
+    try:
+        doc = scale_series(
+            devices=args.devices,
+            quick=args.quick,
+            cells_out=cells,
+            **_grid_kwargs(args),
+        )
+    except HarnessError as exc:
+        print(f"error: scale study failed: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
+    _emit(
+        scale_rows(doc, "strong"),
+        "Scaling (strong): fixed graph, 1..N simulated devices",
+        args.csv,
+    )
+    _emit(
+        scale_rows(doc, "weak"),
+        "Scaling (weak): graph grows with device count",
+        args.csv,
+    )
+    bad_cells = _grid_outcome(args, cells, "Scaling")
+    if args.json:
+        path = write_scale(doc, args.json)
+        print(f"wrote scale study to {path}")
+    singledev = doc["singledev"]
+    if bad_cells:
+        print(failure_summary(bad_cells), file=sys.stderr)
+        print(
+            f"error: {len(bad_cells)} scale cell(s) failed or produced "
+            "invalid colorings",
+            file=sys.stderr,
+        )
+        return EXIT_PARTIAL
+    if singledev["checked"]:
+        mismatched = sorted(
+            label for label, ok in singledev["matches"].items() if not ok
+        )
+        if mismatched:
+            for label in mismatched:
+                print(
+                    f"error: 1-device cell {label} is not bit-identical "
+                    "to its single-device baseline",
+                    file=sys.stderr,
+                )
+            return EXIT_PARTIAL
+        print(
+            f"singledev anchor: {len(singledev['matches'])} 1-device "
+            "cell(s) bit-identical to their single-device baselines"
+        )
+    return 0
+
+
+def _cmd_trace(args, parser) -> int:
+    from ..errors import ReproError
+    from .profile import run_trace, trace_phase_rows, trace_rows
+
+    try:
+        result = run_trace(
+            args.dataset,
+            args.impl,
+            scale_div=args.scale_div,
+            seed=args.seed,
+            backend=args.backend,
+        )
+    except ReproError as exc:
+        print(f"error: trace run failed: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
+    trace = result.trace
+    _emit(
+        trace_rows(trace),
+        f"Trace: {trace.algorithm} on {trace.dataset} "
+        f"(total {trace.total_ms:.4f} ms, {len(trace)} spans)",
+        args.csv,
+    )
+    _emit(
+        trace_phase_rows(trace),
+        f"Phases: {trace.algorithm} on {trace.dataset}",
+        args.csv,
+    )
+    if args.out:
+        trace.to_chrome_json(args.out)
+        print(f"wrote Chrome trace_event JSON to {args.out}")
+    return 0
+
+
+def _cmd_profile(args, parser) -> int:
+    from ..errors import ReproError
+    from .profile import run_profile
+
+    try:
+        rows = run_profile(
+            args.dataset,
+            [a for a in args.algorithms.split(",") if a],
+            scale_div=args.scale_div,
+            seed=args.seed,
+            backend=args.backend,
+        )
+    except ReproError as exc:
+        print(f"error: profile failed: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
+    _emit(
+        rows,
+        f"Kernel profile: {args.algorithms} on {args.dataset}",
+        args.csv,
+    )
+    return 0
 
 
 def _serve_config(args):
@@ -503,19 +551,11 @@ def _parse_request_line(obj):
 
 
 def _cmd_serve(args, parser) -> int:
-    """``serve``: run a JSONL request file through an in-process
-    service and report every response (terminal, never dropped)."""
     import json
 
     from ..serve import ColoringResponse, ServeClient
 
-    if len(args.targets) != 1:
-        parser.error(
-            "serve takes exactly one positional argument: a JSONL file "
-            "with one request object per line (e.g. "
-            '{"impl": "gunrock.hash", "dataset": "offshore"})'
-        )
-    path = args.targets[0]
+    path = args.requests_file
     requests = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -583,18 +623,12 @@ def _cmd_serve(args, parser) -> int:
 
 
 def _cmd_loadgen(args, parser) -> int:
-    """``loadgen``: synthetic bursty Zipf traffic against a fresh
-    in-process service; writes the latency/outcome snapshot."""
     from ..serve import LoadSpec, run_load, write_snapshot
 
-    datasets = tuple(d for d in args.datasets.split(",") if d)
-    impls = tuple(i for i in args.impls.split(",") if i)
-    if not datasets or not impls:
-        parser.error("loadgen needs --datasets and --impls (comma-separated)")
     spec = LoadSpec(
         requests=args.requests,
-        datasets=datasets,
-        impls=impls,
+        datasets=args.datasets,
+        impls=args.impls,
         zipf_s=args.zipf_s,
         seed=args.seed,
         scale_div=args.scale_div,
@@ -627,397 +661,328 @@ def _cmd_loadgen(args, parser) -> int:
     return 0
 
 
-def _cmd_scale(args, parser, grid_kwargs) -> int:
-    """``scale``: the multi-device strong/weak scaling study
-    (docs/distributed.md).  Exit 3 on failed cells or when a 1-device
-    cell is not bit-identical to its single-device baseline."""
-    from ..errors import HarnessError
-    from .scale import DEFAULT_DEVICES, scale_rows, scale_series, write_scale
+# -- the declared command line ------------------------------------------------
 
-    if args.devices:
+
+def _int_at_least(minimum: int) -> Callable[[str], int]:
+    """An argparse ``type``: an integer ``>= minimum``, else exit 2."""
+
+    def parse(text: str) -> int:
         try:
-            devices = tuple(int(d) for d in args.devices.split(",") if d)
+            if int(text) >= minimum:
+                return int(text)
         except ValueError:
-            parser.error(
-                f"--devices must be comma-separated integers, got "
-                f"{args.devices!r}"
-            )
-        if not devices or min(devices) < 1:
-            parser.error("--devices counts must be >= 1")
-    else:
-        devices = DEFAULT_DEVICES
-    cells = []
-    try:
-        doc = scale_series(
-            devices=devices,
-            seed=args.seed,
-            repetitions=(
-                args.repetitions if args.repetitions is not None else 1
-            ),
-            quick=args.quick,
-            jobs=args.jobs,
-            cells_out=cells,
-            **grid_kwargs,
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {minimum}, got {text!r}"
         )
-    except HarnessError as exc:
-        print(f"error: scale study failed: {exc}", file=sys.stderr)
-        return EXIT_PARTIAL
-    _emit(
-        scale_rows(doc, "strong"),
-        "Scaling (strong): fixed graph, 1..N simulated devices",
-        args.csv,
+
+    return parse
+
+
+def _names(text: str) -> Tuple[str, ...]:
+    """An argparse ``type``: a non-empty comma-separated list."""
+    names = tuple(n for n in text.split(",") if n)
+    if not names:
+        raise argparse.ArgumentTypeError("expected comma-separated names")
+    return names
+
+
+_POSITIVE = _int_at_least(1)
+
+
+def _device_counts(text: str) -> Tuple[int, ...]:
+    """An argparse ``type``: comma-separated device counts >= 1."""
+    return tuple(_POSITIVE(d) for d in _names(text))
+
+
+_DEFAULT = " (default: %(default)s)"
+
+#: Every flag (and positional) a command can declare, by name: the
+#: keyword arguments of its ``add_argument`` call.
+_FLAGS = {
+    "--metrics-out": dict(
+        metavar="PATH",
+        help="write the session's metrics to PATH on exit "
+        "(.prom/.txt = Prometheus text, otherwise JSON)",
+    ),
+    "--log": dict(
+        metavar="PATH", help="append the structured JSONL run-log to PATH"
+    ),
+    "--scale-div": dict(
+        type=int, default=DEFAULT_SCALE_DIV,
+        help="dataset down-scaling divisor (1 = paper scale)" + _DEFAULT,
+    ),
+    "--seed": dict(
+        type=int, default=DEFAULT_SEED, help="master seed" + _DEFAULT
+    ),
+    "--repetitions": dict(
+        type=_POSITIVE, default=3, help="repetitions per cell" + _DEFAULT
+    ),
+    "--jobs": dict(
+        type=_POSITIVE, default=1,
+        help="worker processes; results are bit-identical at any count",
+    ),
+    "--timeout": dict(
+        type=float, metavar="SECONDS",
+        help="wall-clock budget per repetition; a timed-out repetition "
+        "is retried, then marked failed (default: unbounded)",
+    ),
+    "--retries": dict(
+        type=_int_at_least(0), default=DEFAULT_RETRIES,
+        help="retry budget for transient failures" + _DEFAULT,
+    ),
+    "--resume": dict(
+        action="store_true",
+        help="run only the repetitions missing from the checkpoint "
+        "journal; results are bit-identical to an uninterrupted run",
+    ),
+    "--no-journal": dict(
+        action="store_true", help="skip writing the checkpoint journal"
+    ),
+    "--trace": dict(
+        action="store_true",
+        help="record traces and add per-phase 'Sim ms [...]' columns",
+    ),
+    "--backend": dict(
+        choices=KNOWN_BACKENDS,
+        help="kernel-execution backend; simulated quantities are "
+        "bit-identical across backends (default: $REPRO_BACKEND or "
+        "reference)",
+    ),
+    "--csv": dict(metavar="PATH", help="also append the series to PATH"),
+    "--json": dict(
+        metavar="PATH",
+        help="write the last series as a JSON snapshot (with its seed, "
+        "scaling and cost-model constants)",
+    ),
+    "--chart": dict(action="store_true", help="render ASCII charts"),
+    "--out": dict(metavar="PATH", help="where to write the command's output"),
+    "dataset": dict(metavar="DATASET"),
+    "impl": dict(metavar="IMPL"),
+    "--dataset": dict(default="G3_circuit", help="dataset" + _DEFAULT),
+    "--algorithms": dict(
+        default="graphblas.mis",
+        help="comma-separated (1-2) implementation ids" + _DEFAULT,
+    ),
+    "--compare": dict(
+        metavar="BASELINE",
+        help="diff against this baseline bench JSON; exit 5 on regression",
+    ),
+    "--wall-tol": dict(
+        type=float, default=DEFAULT_WALL_TOL, metavar="FACTOR",
+        help="--compare's multiplicative wall_s tolerance" + _DEFAULT,
+    ),
+    "--write-baseline": dict(
+        metavar="PATH", help="also copy the fresh run to PATH"
+    ),
+    "--ignore-backend": dict(
+        action="store_true",
+        help="let --compare diff documents from different backends",
+    ),
+    "--devices": dict(
+        type=_device_counts, default=",".join(map(str, DEFAULT_DEVICES)),
+        metavar="COUNTS", help="device counts to sweep" + _DEFAULT,
+    ),
+    "--quick": dict(action="store_true", help="CI-sized graphs"),
+    "requests_file": dict(
+        metavar="REQUESTS", help="JSONL file, one request object per line"
+    ),
+    "--serve-workers": dict(
+        type=_POSITIVE, default=2, metavar="N",
+        help="service worker tasks" + _DEFAULT,
+    ),
+    "--queue-limit": dict(
+        type=_POSITIVE, default=16, metavar="N",
+        help="admission-queue depth; excess load is shed" + _DEFAULT,
+    ),
+    "--deadline": dict(
+        type=float, metavar="SECONDS",
+        help="per-request deadline (default: unbounded)",
+    ),
+    "--requests": dict(
+        type=_POSITIVE, default=60, metavar="N",
+        help="requests to synthesize" + _DEFAULT,
+    ),
+    "--datasets": dict(
+        type=_names, default="ecology2,offshore,G3_circuit", metavar="NAMES",
+        help="datasets, most popular first" + _DEFAULT,
+    ),
+    "--impls": dict(
+        type=_names, default="gunrock.hash,graphblas.mis,cpu.greedy",
+        metavar="IDS", help="implementation ids, drawn uniformly" + _DEFAULT,
+    ),
+    "--zipf-s": dict(
+        type=float, default=1.2, metavar="S",
+        help="Zipf exponent over --datasets" + _DEFAULT,
+    ),
+}
+
+# The flag sets commands share.  COMMON is declared on every command.
+COMMON = ("--metrics-out", "--log")
+DATASET = ("--scale-div", "--seed")
+GRID = (
+    "--repetitions", "--jobs", "--timeout", "--retries", "--resume",
+    "--no-journal", "--trace", "--backend",
+)
+OUTPUT = ("--csv", "--json")
+SERVE = ("--serve-workers", "--queue-limit", "--deadline", "--retries")
+
+
+class _Command(NamedTuple):
+    run: Callable[..., int]  # (args, parser) -> exit code
+    help: str
+    flags: Tuple[str, ...]  # besides COMMON, in --help order
+    description: str = ""
+    repetitions: int = 3  # the --repetitions default, where declared
+
+
+_EXPERIMENT = DATASET + GRID + OUTPUT
+
+#: Each command: its handler, its help, and the flags it reads.
+COMMANDS = {
+    "table1": _Command(
+        _cmd_experiments, "Table I: dataset description", DATASET + OUTPUT
+    ),
+    "table2": _Command(
+        _cmd_experiments, "Table II: Gunrock optimization ladder", _EXPERIMENT
+    ),
+    "fig1": _Command(
+        _cmd_experiments, "Figure 1: speedups and color counts",
+        _EXPERIMENT + ("--chart",),
+    ),
+    "fig2": _Command(
+        _cmd_experiments, "Figure 2: time-quality trade-off", _EXPERIMENT
+    ),
+    "fig3": _Command(
+        _cmd_experiments, "Figure 3: RGG scaling sweep",
+        ("--seed",) + GRID + OUTPUT + ("--chart",),
+        "Figure 3: RGG scaling sweep.  Its graphs are always paper-scale.",
+    ),
+    "all": _Command(
+        _cmd_experiments, "every table and figure", _EXPERIMENT + ("--chart",),
+        "Runs " + ", ".join(EXPERIMENTS) + " in order; --json keeps the "
+        "last series.",
+    ),
+    "profile": _Command(
+        _cmd_profile, "per-kernel share table of one or two implementations",
+        ("--dataset", "--algorithms") + DATASET + ("--backend", "--csv"),
+        "Prints the per-kernel share table; exits 3 when an "
+        "implementation records no kernel counters.",
+    ),
+    "trace": _Command(
+        _cmd_trace, "record one traced repetition",
+        ("dataset", "impl") + DATASET + ("--backend", "--csv", "--out"),
+        "Runs one traced repetition of IMPL on DATASET and prints its "
+        "per-kernel and per-phase breakdowns; --out writes the Chrome "
+        "trace_event JSON that chrome://tracing and ui.perfetto.dev load "
+        "(docs/observability.md).  Exits 3 when IMPL records no trace.",
+    ),
+    "bench": _Command(
+        _cmd_bench, "run the pinned benchmark suite",
+        DATASET + ("--repetitions", "--backend", "--out", "--compare",
+                   "--wall-tol", "--write-baseline", "--ignore-backend"),
+        f"Writes BENCH_<git-sha>.json into --out (default {BENCH_OUT_DIR}); "
+        "--compare diffs it against a baseline and exits 5 on regression "
+        "(docs/observability.md).  Its quantities are deterministic given "
+        "the seed, so one repetition is the default.",
+        repetitions=1,
+    ),
+    "scale": _Command(
+        _cmd_scale, "multi-device strong/weak scaling study",
+        ("--devices", "--quick", "--seed") + GRID + OUTPUT,
+        "Sweeps the distributed implementations over device counts; a "
+        "1-device cell that is not bit-identical to its single-device "
+        "implementation exits 3 (docs/distributed.md).",
+        repetitions=1,
+    ),
+    "serve": _Command(
+        _cmd_serve, "answer a JSONL request file through the service",
+        ("requests_file",) + SERVE + ("--scale-div", "--out"),
+        "Runs each request line (impl, dataset or inline graph, seed, "
+        "backend, deadline_s) through an in-process service; --out writes "
+        "one terminal response per line.  Exits 3 when a request failed "
+        "or went unanswered (docs/serving.md).",
+    ),
+    "loadgen": _Command(
+        _cmd_loadgen, "bursty Zipf traffic against a fresh service",
+        ("--requests", "--datasets", "--impls", "--zipf-s") + SERVE
+        + DATASET + ("--out",),
+        "Synthesizes bursty Zipf-over-datasets traffic; --out writes the "
+        "latency/outcome snapshot.  Exits 3 when a request failed or went "
+        "unanswered (docs/serving.md).",
+    ),
+    "lint": _Command(
+        _cmd_lint, "repro-lint static checks over the package", (),
+        "The gate CI applies (docs/static-analysis.md); exits 4 on "
+        "violations.",
+    ),
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        parser.add_argument(name, **_FLAGS[name])
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The harness command line: one subparser per :data:`COMMANDS`
+    entry, declaring exactly the flags that command reads."""
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness",
+        description="Regenerate the tables and figures of "
+        "'Graph Coloring on the GPU' (Osama et al., 2019).",
+        allow_abbrev=False,
     )
-    _emit(
-        scale_rows(doc, "weak"),
-        "Scaling (weak): graph grows with device count",
-        args.csv,
+    sub = parser.add_subparsers(
+        dest="command", metavar="COMMAND", required=True
     )
-    if args.trace:
-        _emit_phase_breakdown(
-            cells, "Scaling: per-phase sim_ms (traced)", args.csv
+    for name, command in COMMANDS.items():
+        cmd = sub.add_parser(
+            name,
+            help=command.help,
+            description=command.description or command.help,
+            allow_abbrev=False,
         )
-    if args.json:
-        path = write_scale(doc, args.json)
-        print(f"wrote scale study to {path}")
-    singledev = doc["singledev"]
-    bad_cells = [c for c in cells if not c.ok or not c.valid]
-    if bad_cells:
-        print(failure_summary(bad_cells), file=sys.stderr)
-        print(
-            f"error: {len(bad_cells)} scale cell(s) failed or produced "
-            "invalid colorings",
-            file=sys.stderr,
-        )
-        return EXIT_PARTIAL
-    if singledev["checked"]:
-        mismatched = sorted(
-            label for label, ok in singledev["matches"].items() if not ok
-        )
-        if mismatched:
-            for label in mismatched:
-                print(
-                    f"error: 1-device cell {label} is not bit-identical "
-                    "to its single-device baseline",
-                    file=sys.stderr,
-                )
-            return EXIT_PARTIAL
-        print(
-            f"singledev anchor: {len(singledev['matches'])} 1-device "
-            "cell(s) bit-identical to their single-device baselines"
-        )
-    return 0
+        _add_flags(cmd, command.flags + COMMON)
+        cmd.set_defaults(func=command.run)
+        if "--repetitions" in command.flags:
+            cmd.set_defaults(repetitions=command.repetitions)
+    return parser
 
 
 def _dispatch(args, parser) -> int:
     """Execute the parsed command; returns the process exit code."""
-    if args.jobs > 1 and _fork_context() is None:
+    if getattr(args, "jobs", 1) > 1 and _fork_context() is None:
         print(
             f"notice: --jobs {args.jobs} requested but the 'fork' start "
             "method is unavailable on this platform; running sequentially",
             file=sys.stderr,
         )
+    return args.func(args, parser)
 
-    repetitions = args.repetitions if args.repetitions is not None else 3
-    grid_kwargs = dict(
-        timeout=args.timeout,
-        retries=args.retries,
-        resume=args.resume,
-        journal=False if args.no_journal else None,
-        trace=args.trace,
-        backend=args.backend,
+
+def main(argv: Optional[List[str]] = None) -> int:
+    # --metrics-out/--log activate before the command line is parsed,
+    # so a usage error still writes the session's metrics and log.
+    session = argparse.ArgumentParser(
+        prog="python -m repro.harness", add_help=False, allow_abbrev=False
     )
-
-    if args.experiment == "lint":
-        from pathlib import Path
-
-        from ..analysis.engine import analyze_paths
-
-        package_root = Path(__file__).resolve().parents[1]
-        violations = analyze_paths([package_root]).violations
-        for v in violations:
-            print(v.render())
-        if violations:
-            print(
-                f"error: {len(violations)} repro-lint violation(s); see "
-                "docs/static-analysis.md",
-                file=sys.stderr,
-            )
-            return EXIT_LINT
-        print("repro-lint: clean")
-        return 0
-    if args.experiment == "bench":
-        from .bench import (
-            DEFAULT_WALL_TOL,
-            BenchBackendMismatch,
-            compare_bench,
-            load_bench,
-            run_bench,
-            validate_bench,
-            write_bench,
-        )
-
-        doc = run_bench(
-            scale_div=args.scale_div,
-            seed=args.seed,
-            repetitions=(
-                args.repetitions if args.repetitions is not None else 1
-            ),
-            backend=args.backend,
-        )
-        if doc.get("kernel_speedups"):
-            print(_speedup_table(doc))
-        problems = validate_bench(doc)
-        if problems:  # pragma: no cover — would be a bench.py bug
-            for p in problems:
-                print(f"error: invalid bench document: {p}", file=sys.stderr)
-            return EXIT_PARTIAL
-        path = write_bench(doc, args.out or BENCH_OUT_DIR)
-        print(f"wrote {path}")
-        if args.write_baseline:
-            import shutil
-
-            shutil.copyfile(path, args.write_baseline)
-            print(f"wrote baseline {args.write_baseline}")
-        if args.compare:
-            try:
-                baseline = load_bench(args.compare)
-            except (OSError, ValueError) as exc:
-                print(
-                    f"error: cannot load baseline {args.compare}: {exc}",
-                    file=sys.stderr,
-                )
-                return EXIT_PARTIAL
-            try:
-                regressions = compare_bench(
-                    doc,
-                    baseline,
-                    wall_tol=(
-                        args.wall_tol
-                        if args.wall_tol is not None
-                        else DEFAULT_WALL_TOL
-                    ),
-                    ignore_backend=args.ignore_backend,
-                )
-            except BenchBackendMismatch as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            if regressions:
-                for r in regressions:
-                    print(f"regression: {r}", file=sys.stderr)
-                print(
-                    f"error: {len(regressions)} benchmark regression(s) vs "
-                    f"{args.compare}",
-                    file=sys.stderr,
-                )
-                return EXIT_REGRESSION
-            print(f"bench: no regressions vs {args.compare}")
-        failed = [c for c in doc["cells"] if c["status"] != "ok"]
-        if failed:
-            for c in failed:
-                print(
-                    f"error: bench cell {c['dataset']}:{c['algorithm']} "
-                    f"failed: {c.get('error')}",
-                    file=sys.stderr,
-                )
-            return EXIT_PARTIAL
-        return 0
-    if args.experiment == "scale":
-        return _cmd_scale(args, parser, grid_kwargs)
-    if args.experiment == "trace":
-        from ..errors import ReproError
-        from .profile import run_trace, trace_phase_rows, trace_rows
-
-        if len(args.targets) != 2:
-            parser.error(
-                "trace takes exactly two positional arguments: "
-                "<dataset> <implementation> (e.g. 'trace offshore "
-                "graphblas.mis')"
-            )
-        dataset, algorithm = args.targets
-        try:
-            result = run_trace(
-                dataset,
-                algorithm,
-                scale_div=args.scale_div,
-                seed=args.seed,
-                backend=args.backend,
-            )
-        except ReproError as exc:
-            print(f"error: trace run failed: {exc}", file=sys.stderr)
-            return EXIT_PARTIAL
-        trace = result.trace
-        _emit(
-            trace_rows(trace),
-            f"Trace: {trace.algorithm} on {trace.dataset} "
-            f"(total {trace.total_ms:.4f} ms, {len(trace)} spans)",
-            args.csv,
-        )
-        _emit(
-            trace_phase_rows(trace),
-            f"Phases: {trace.algorithm} on {trace.dataset}",
-            args.csv,
-        )
-        if args.out:
-            trace.to_chrome_json(args.out)
-            print(f"wrote Chrome trace_event JSON to {args.out}")
-        return 0
-    if args.experiment == "profile":
-        from ..errors import ReproError
-        from .profile import run_profile
-
-        try:
-            rows = run_profile(
-                args.dataset,
-                [a for a in args.algorithms.split(",") if a],
-                scale_div=args.scale_div,
-                seed=args.seed,
-                backend=args.backend,
-            )
-        except ReproError as exc:
-            print(f"error: profile failed: {exc}", file=sys.stderr)
-            return EXIT_PARTIAL
-        _emit(
-            rows,
-            f"Kernel profile: {args.algorithms} on {args.dataset}",
-            args.csv,
-        )
-        return 0
-    if args.experiment == "serve":
-        return _cmd_serve(args, parser)
-    if args.experiment == "loadgen":
-        return _cmd_loadgen(args, parser)
-    if args.experiment not in EXPERIMENTS + ("all",):
-        parser.error(
-            f"unknown experiment {args.experiment!r}; choose from "
-            f"{', '.join(EXPERIMENTS + ('all', 'profile', 'trace', 'bench', 'scale', 'serve', 'loadgen', 'lint'))}"
-        )
-    todo = list(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    bad_cells = []  # every failed/invalid cell across all experiments
-    for exp in todo:
-        if exp == "table1":
-            rows = table1_rows(scale_div=args.scale_div, seed=args.seed)
-            _emit(rows, "Table I: Dataset Description (paper vs regenerated)", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-        elif exp == "table2":
-            cells = []
-            rows = table2_rows(
-                scale_div=args.scale_div,
-                seed=args.seed,
-                repetitions=repetitions,
-                jobs=args.jobs,
-                cells_out=cells,
-                **grid_kwargs,
-            )
-            bad_cells += [c for c in cells if not c.ok or not c.valid]
-            _emit(rows, "Table II: Gunrock optimization impact (G3_circuit)", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-            if args.trace:
-                _emit_phase_breakdown(
-                    cells, "Table II: per-phase sim_ms (traced)", args.csv
-                )
-        elif exp == "fig1":
-            series = fig1_series(
-                scale_div=args.scale_div,
-                seed=args.seed,
-                repetitions=repetitions,
-                jobs=args.jobs,
-                **grid_kwargs,
-            )
-            bad_cells += [
-                c for c in series["cells"] if not c.ok or not c.valid
-            ]
-            _emit(series["speedup_rows"], "Figure 1a: Speedup vs Naumov/JPL", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-            _emit(series["color_rows"], "Figure 1b: Number of Colors", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-            gm_rows = [
-                {
-                    "Implementation": a,
-                    "Geomean speedup": round(v, 3) if v is not None else None,
-                }
-                for a, v in series["geomean"].items()
-            ]
-            _emit(gm_rows, "Figure 1a: geometric-mean speedups", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-            if args.trace:
-                _emit_phase_breakdown(
-                    series["cells"],
-                    "Figure 1: per-phase sim_ms (traced)",
-                    args.csv,
-                )
-            if args.chart:
-                from .charts import bar_chart
-
-                plottable = {
-                    a: v for a, v in series["geomean"].items() if v is not None
-                }
-                print(
-                    bar_chart(
-                        sorted(plottable.items(), key=lambda kv: -kv[1]),
-                        title="Figure 1a (geomean speedup vs naumov.jpl)",
-                        reference=1.0,
-                    )
-                )
-                print()
-        elif exp == "fig2":
-            series = fig2_series(
-                scale_div=args.scale_div,
-                seed=args.seed,
-                repetitions=repetitions,
-                jobs=args.jobs,
-                **grid_kwargs,
-            )
-            bad_cells += [
-                c for c in series["cells"] if not c.ok or not c.valid
-            ]
-            _emit(series["gunrock"], "Figure 2a: Gunrock time-quality", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-            _emit(series["graphblast"], "Figure 2b: GraphBLAST time-quality", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-            if args.trace:
-                _emit_phase_breakdown(
-                    series["cells"],
-                    "Figure 2: per-phase sim_ms (traced)",
-                    args.csv,
-                )
-        elif exp == "fig3":
-            cells = []
-            rows = fig3_series(
-                seed=args.seed,
-                repetitions=repetitions,
-                jobs=args.jobs,
-                cells_out=cells,
-                **grid_kwargs,
-            )
-            bad_cells += [c for c in cells if not c.ok or not c.valid]
-            _emit(rows, "Figure 3: RGG scaling (runtime & colors vs n, m)", args.csv, args.json, seed=args.seed, scale_div=args.scale_div)
-            if args.trace:
-                _emit_phase_breakdown(
-                    cells, "Figure 3: per-phase sim_ms (traced)", args.csv
-                )
-            if args.chart:
-                from .charts import scatter_plot
-
-                series = {}
-                for r in rows:
-                    if r["Runtime (ms)"] == "failed":
-                        continue
-                    series.setdefault(r["Implementation"], []).append(
-                        (r["Vertices"], r["Runtime (ms)"])
-                    )
-                print(
-                    scatter_plot(
-                        series,
-                        title="Figure 3a (runtime vs vertices, log-log)",
-                        logx=True,
-                        logy=True,
-                        xlabel="vertices",
-                        ylabel="ms",
-                    )
-                )
-                print()
-    if bad_cells:
-        print(failure_summary(bad_cells), file=sys.stderr)
-        print(
-            f"error: {len(bad_cells)} grid cell(s) failed or produced "
-            "invalid colorings; results above are partial",
-            file=sys.stderr,
-        )
-        return EXIT_PARTIAL
-    return 0
+    _add_flags(session, COMMON)
+    active, _ = session.parse_known_args(argv)
+    parser = build_parser()
+    with ExitStack() as stack:
+        if active.log:
+            stack.enter_context(runlog.activate(active.log))
+        if active.metrics_out:
+            reg = stack.enter_context(metrics.activate())
+            # Registered as a callback, not appended after _dispatch:
+            # ExitStack unwinds LIFO, so when _dispatch raises, the
+            # registry is still written *and then* deactivated — a
+            # failed command must not leak an active registry into
+            # subsequent in-process calls, nor swallow its metrics.
+            stack.callback(_write_metrics, reg, active.metrics_out)
+        return _dispatch(parser.parse_args(argv), parser)
 
 
 if __name__ == "__main__":

@@ -51,17 +51,18 @@ FALLBACKS: Dict[str, str] = {
     "cpu.rlf": "cpu.greedy",
     "cpu.greedy_lf": "cpu.greedy",
     "cpu.greedy_sl": "cpu.greedy",
-    "cpu.greedy_random": "cpu.greedy",
     "cpu.greedy_natural": "cpu.greedy",
 }
 
 
 def ladder(impl: str) -> List[str]:
     """The fallback chain for ``impl``, cheapest last, ``impl`` itself
-    excluded.  Cycle-safe: a miswired FALLBACKS map can't loop."""
+    excluded; a parameterized distributed id (``dist.jpl@d4``) takes
+    the chain of its base id.  Cycle-safe: a miswired FALLBACKS map
+    can't loop."""
+    current = impl.split("@", 1)[0]
     chain: List[str] = []
-    seen = {impl}
-    current = impl
+    seen = {current}
     while True:
         nxt = FALLBACKS.get(current)
         if nxt is None or nxt in seen:

@@ -50,8 +50,13 @@ from typing import Optional, Tuple
 from .. import log as runlog
 from .. import metrics
 from ..backend import BackendError, resolve as resolve_backend
-from ..core.registry import ALGORITHMS, run_algorithm
-from ..errors import DeadlineExceeded, TransientFaultError, WorkerKillFault
+from ..core.registry import get_algorithm, run_algorithm
+from ..errors import (
+    ColoringError,
+    DeadlineExceeded,
+    TransientFaultError,
+    WorkerKillFault,
+)
 from ..graph.generators.suitesparse import DEFAULT_SCALE_DIV
 from ..harness import datasets as ds
 from ..harness import faults
@@ -256,7 +261,9 @@ class ColoringServer:
         """Cheap admission checks; returns a shed reason or None."""
         if self._closing or not self._started:
             return "shutting_down"
-        if request.impl not in ALGORITHMS:
+        try:
+            get_algorithm(request.impl)
+        except ColoringError:
             return "unknown_impl"
         if (request.dataset is None) == (request.graph is None):
             return "bad_request"  # exactly one of dataset/graph

@@ -286,6 +286,154 @@ class TestMetricsOnErrorPaths:
         json.loads(out.read_text())
 
 
+#: Positionals that complete each command's line.
+_POSITIONALS = {"trace": ["offshore", "graphblas.mis"], "serve": ["r.jsonl"]}
+
+
+class TestDeclaredFlagSets:
+    """Each harness command accepts only the flags it reads; any other
+    flag is a usage error (exit 2), never silently ignored."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("serve", "--json"),
+            ("serve", "--backend"),
+            ("serve", "--seed"),
+            ("loadgen", "--backend"),
+            ("loadgen", "--dataset"),
+            ("lint", "--seed"),
+            ("table1", "--jobs"),
+            ("table1", "--trace"),
+            ("table1", "--chart"),
+            ("table1", "--timeout"),
+            ("table1", "--resume"),
+            ("table1", "--dataset"),
+            ("table1", "--out"),
+            ("table2", "--chart"),
+            ("scale", "--scale-div"),
+            ("fig3", "--scale-div"),
+            ("trace", "--json"),
+            ("profile", "--out"),
+            ("profile", "--json"),
+            ("bench", "--csv"),
+            ("bench", "--json"),
+            ("bench", "--jobs"),
+            ("bench", "--trace"),
+        ],
+    )
+    def test_flag_outside_spec_is_usage_error(self, command, flag, capsys):
+        from repro.harness.__main__ import build_parser
+
+        argv = [command] + _POSITIONALS.get(command, [])
+        build_parser().parse_args(argv)  # complete without the flag
+        with pytest.raises(SystemExit) as exc:
+            harness_main(argv + [flag, "1"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_every_undeclared_pair_rejected(self, capsys):
+        from repro.harness.__main__ import (
+            _FLAGS,
+            COMMANDS,
+            COMMON,
+            build_parser,
+        )
+
+        parser = build_parser()
+        options = [name for name in _FLAGS if name.startswith("--")]
+        rejected = 0
+        for command, spec in COMMANDS.items():
+            argv = [command] + _POSITIONALS.get(command, [])
+            for flag in set(options) - set(spec.flags + COMMON):
+                with pytest.raises(SystemExit) as exc:
+                    parser.parse_args(argv + [flag, "1"])
+                assert exc.value.code == 2, (command, flag)
+                rejected += 1
+        assert rejected > len(COMMANDS) * len(options) // 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["table2", "--repetitions", "0"],
+            ["bench", "--repetitions", "-1"],
+            ["fig1", "--jobs", "0"],
+            ["scale", "--jobs", "two"],
+            ["table2", "--retries", "-1"],
+            ["serve", "r.jsonl", "--serve-workers", "0"],
+            ["serve", "r.jsonl", "--queue-limit", "0"],
+            ["loadgen", "--requests", "0"],
+            ["loadgen", "--retries", "-2"],
+        ],
+    )
+    def test_out_of_range_count_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            harness_main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected an integer >=" in err
+        assert "Traceback" not in err
+
+    def test_zero_retries_accepted(self):
+        from repro.harness.__main__ import build_parser
+
+        args = build_parser().parse_args(["table2", "--retries", "0"])
+        assert args.retries == 0
+
+    def test_repetitions_default_per_command(self):
+        from repro.harness.__main__ import build_parser
+
+        parser = build_parser()
+        for command, expected in [
+            ("table2", 3), ("fig3", 3), ("all", 3), ("bench", 1), ("scale", 1)
+        ]:
+            assert parser.parse_args([command]).repetitions == expected
+
+
+class TestFig3Snapshot:
+    @pytest.mark.parametrize("command", ["fig3", "all"])
+    def test_snapshot_records_paper_scale(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        """fig3's RGG sweep always runs at scale_div=1, and its snapshot
+        says so, whatever --scale-div the other experiments of ``all``
+        ran at."""
+        import repro.harness.__main__ as cli
+
+        calls = []
+
+        def fake_fig3(**kwargs):
+            calls.append(kwargs)
+            return [
+                {"Implementation": "gunrock.is", "Vertices": 128,
+                 "Runtime (ms)": 1.0}
+            ]
+
+        row = [{"x": 1}]
+        monkeypatch.setattr(cli, "fig3_series", fake_fig3)
+        monkeypatch.setattr(cli, "table1_rows", lambda **kw: row)
+        monkeypatch.setattr(cli, "table2_rows", lambda **kw: row)
+        monkeypatch.setattr(
+            cli, "fig1_series",
+            lambda **kw: dict(
+                speedup_rows=row, color_rows=row, geomean={}, cells=[]
+            ),
+        )
+        monkeypatch.setattr(
+            cli, "fig2_series",
+            lambda **kw: dict(gunrock=row, graphblast=row, cells=[]),
+        )
+        out = tmp_path / "f3.json"
+        argv = [command, "--json", str(out), "--seed", "5"]
+        if command == "all":
+            argv += ["--scale-div", "4096"]
+        assert harness_main(argv) == 0
+        assert len(calls) == 1 and "scale_div" not in calls[0]
+        snap = json.loads(out.read_text())
+        assert snap["experiment"].startswith("Figure 3")
+        assert (snap["seed"], snap["scale_div"]) == (5, 1)
+
+
 class TestHarnessServeCommand:
     def test_malformed_inline_csr_is_rejected_not_fatal(
         self, tmp_path, monkeypatch, capsys

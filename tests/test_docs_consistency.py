@@ -124,3 +124,51 @@ class TestDocstringCoverage:
             obj = getattr(mod, name)
             if callable(obj) or isinstance(obj, type):
                 assert obj.__doc__, f"{module}.{name} lacks a docstring"
+
+
+def _documented_invocations():
+    """(source, argv) for every ``python -m repro.harness …`` command
+    line in the README, docs/ and the CI workflow, with ``\\``
+    continuations joined.  Synopsis lines (``<placeholder>``, ``...``)
+    and bare mentions of the module are skipped."""
+    import shlex
+
+    sources = ["README.md", ".github/workflows/ci.yml"] + sorted(
+        str(p.relative_to(ROOT)) for p in (ROOT / "docs").glob("*.md")
+    )
+    found = []
+    for source in sources:
+        text = re.sub(r"\\\n\s*", " ", read(source))
+        for match in re.finditer(
+            r"python -m repro\.harness\b([^`#\n|;&>]*)", text
+        ):
+            tail = match.group(1).strip()
+            if tail and "<" not in tail and "..." not in tail:
+                found.append((source, shlex.split(tail)))
+    return found
+
+
+DOCUMENTED_INVOCATIONS = _documented_invocations()
+
+
+class TestDocumentedInvocations:
+    """CI fails when a doc or a CI step names a flag its harness
+    subcommand does not take.  Parsing only: nothing runs."""
+
+    def test_collects_the_documented_lines(self):
+        sources = {source for source, _ in DOCUMENTED_INVOCATIONS}
+        assert len(DOCUMENTED_INVOCATIONS) >= 30
+        assert {"README.md", ".github/workflows/ci.yml"} <= sources
+
+    @pytest.mark.parametrize(
+        "source, argv",
+        DOCUMENTED_INVOCATIONS,
+        ids=[f"{s}:{' '.join(a)}" for s, a in DOCUMENTED_INVOCATIONS],
+    )
+    def test_parser_accepts(self, source, argv):
+        from repro.harness.__main__ import build_parser
+
+        try:
+            build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{source}: harness rejects {' '.join(argv)!r}")

@@ -79,7 +79,6 @@ class TestRegistry:
             "cpu.greedy_natural",
             "cpu.greedy_lf",
             "cpu.greedy_sl",
-            "cpu.greedy_random",
             "cpu.dsatur",
             "cpu.gm",
             "reference.luby",

@@ -55,6 +55,29 @@ class TestAdmission:
         assert r.status == "rejected"
         assert r.reason == "unknown_impl"
 
+    def test_parameterized_dist_id_served(self):
+        """Admission resolves ids like the registry does: a ``@dN``
+        device-count suffix on a distributed id is a known impl."""
+        with _client() as client:
+            r = client.submit(
+                ColoringRequest(impl="dist.jpl@d2", dataset="ecology2", seed=7)
+            )
+        assert (r.status, r.impl_used) == ("ok", "dist.jpl@d2")
+        direct = run_algorithm(
+            "dist.jpl@d2",
+            ds.load("ecology2", scale_div=SMALL_DIV, seed=7),
+            rng=7,
+        )
+        assert (r.colors == direct.colors).all()
+        assert r.sim_ms == direct.sim_ms
+
+    def test_unknown_parameterized_dist_id_rejected(self):
+        with _client() as client:
+            r = client.submit(
+                ColoringRequest(impl="dist.nope@d2", dataset="ecology2")
+            )
+        assert (r.status, r.reason) == ("rejected", "unknown_impl")
+
     def test_unknown_dataset_rejected(self):
         with _client() as client:
             r = client.submit(
@@ -296,6 +319,10 @@ class TestDegradation:
             if impl != "cpu.greedy":
                 assert chain, f"{impl} has no fallback"
                 assert chain[-1] == "cpu.greedy"
+
+    def test_parameterized_dist_id_takes_base_ladder(self):
+        assert ladder("dist.jpl@d8") == ladder("dist.jpl")
+        assert ladder("dist.speculative@d2") == ladder("dist.speculative")
 
 
 class TestBreaker:
