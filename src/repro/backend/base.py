@@ -180,14 +180,22 @@ class Backend:
 
     def conflict_losers(
         self,
-        src: np.ndarray,
-        dst: np.ndarray,
         colors: np.ndarray,
+        indices: np.ndarray,
+        ids: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
         prio: np.ndarray,
-        active: np.ndarray,
     ) -> np.ndarray:
-        """Speculative-coloring conflict resolution: for every arc
-        ``(src[k], dst[k])`` whose endpoints share a positive color and
-        whose source is active, the lower-priority endpoint — in arc
-        order, one entry per clashing arc."""
-        return self.fallback.conflict_losers(src, dst, colors, prio, active)
+        """Speculative-coloring conflict resolution over the rows of the
+        active vertices ``ids``.
+
+        Row ``i`` holds the arcs ``(ids[i], indices[starts[i] + j])``
+        for ``j < counts[i]`` (the :meth:`segmented_mex` row form).  For
+        every arc whose endpoints share a positive color, the result
+        holds the lower-priority endpoint — row after row, in arc order,
+        one entry per clashing arc.  Only these rows are scanned.
+        """
+        return self.fallback.conflict_losers(
+            colors, indices, ids, starts, counts, prio
+        )

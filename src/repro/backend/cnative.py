@@ -186,20 +186,25 @@ void segmented_mex_i64(int64_t *out, const int64_t *colors,
     }
 }
 
-/* Speculative conflict resolution: emit the lower-priority endpoint of
- * every same-positive-color arc with an active source, in arc order. */
-int64_t conflict_losers_i64(int64_t *out, const int64_t *src,
-                            const int64_t *dst, const int64_t *colors,
-                            const int64_t *prio, const uint8_t *active,
-                            int64_t m) {
+/* Speculative conflict resolution over the active rows: emit the
+ * lower-priority endpoint of every same-positive-color arc of row i
+ * (source ids[i], targets indices[starts[i] : starts[i] + counts[i]]),
+ * row after row, in arc order. */
+int64_t conflict_losers_i64(int64_t *out, const int64_t *colors,
+                            const int64_t *indices, const int64_t *ids,
+                            const int64_t *starts, const int64_t *counts,
+                            const int64_t *prio, int64_t nrows) {
     int64_t k = 0;
-    for (int64_t e = 0; e < m; ++e) {
-        int64_t s = src[e];
-        if (!active[s]) continue;
+    for (int64_t i = 0; i < nrows; ++i) {
+        int64_t s = ids[i];
         int64_t c = colors[s];
-        if (c <= 0 || c != colors[dst[e]]) continue;
-        int64_t d = dst[e];
-        out[k++] = prio[s] < prio[d] ? s : d;
+        if (c <= 0) continue;
+        int64_t ps = prio[s];
+        const int64_t *row = indices + starts[i];
+        for (int64_t j = 0; j < counts[i]; ++j) {
+            int64_t d = row[j];
+            if (colors[d] == c) out[k++] = ps < prio[d] ? s : d;
+        }
     }
     return k;
 }
@@ -409,25 +414,31 @@ class CNativeBackend(Backend):
         )
         return nmax, nmin
 
-    def conflict_losers(self, src, dst, colors, prio, active) -> np.ndarray:
-        m = len(src)
+    def conflict_losers(
+        self, colors, indices, ids, starts, counts, prio
+    ) -> np.ndarray:
+        starts = np.ascontiguousarray(starts, dtype=np.int64)
+        counts = np.ascontiguousarray(counts, dtype=np.int64)
         if (
-            src.dtype != np.int64
-            or dst.dtype != np.int64
-            or colors.dtype != np.int64
+            colors.dtype != np.int64
+            or indices.dtype != np.int64
+            or ids.dtype != np.int64
             or prio.dtype != np.int64
-            or active.dtype != np.bool_
+            or len(starts) != len(ids)
+            or len(counts) != len(ids)
         ):
-            return self.fallback.conflict_losers(src, dst, colors, prio, active)
-        out = np.empty(m, dtype=np.int64)
+            return self.fallback.conflict_losers(
+                colors, indices, ids, starts, counts, prio
+            )
+        colors, indices, ids, prio = map(_contig, (colors, indices, ids, prio))
+        out = np.empty(int(counts.sum()), dtype=np.int64)
         fn = self._lib.conflict_losers_i64
         fn.restype = ctypes.c_int64
         k = fn(
-            _ptr(out), _ptr(_contig(src)), _ptr(_contig(dst)),
-            _ptr(_contig(colors)), _ptr(_contig(prio)),
-            _ptr(_contig(active).view(np.uint8)), ctypes.c_int64(m),
+            _ptr(out), _ptr(colors), _ptr(indices), _ptr(ids), _ptr(starts),
+            _ptr(counts), _ptr(prio), ctypes.c_int64(len(ids)),
         )
-        return out[:k].copy()
+        return out[:k]
 
 
 def load() -> Tuple[Optional[Backend], str]:

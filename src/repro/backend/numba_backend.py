@@ -137,18 +137,18 @@ def _build_kernels(njit):
                     nmin[d] = kv
 
     @njit(cache=False)
-    def conflict_losers(out, src, dst, colors, prio, active):
+    def conflict_losers(out, colors, indices, ids, starts, counts, prio):
         k = 0
-        for e in range(src.shape[0]):
-            s = src[e]
-            if not active[s]:
-                continue
+        for i in range(ids.shape[0]):
+            s = ids[i]
             c = colors[s]
-            d = dst[e]
-            if c <= 0 or c != colors[d]:
+            if c <= 0:
                 continue
-            out[k] = s if prio[s] < prio[d] else d
-            k += 1
+            for e in range(starts[i], starts[i] + counts[i]):
+                d = indices[e]
+                if colors[d] == c:
+                    out[k] = s if prio[s] < prio[d] else d
+                    k += 1
         return k
 
     return {
@@ -273,18 +273,27 @@ class NumbaBackend(Backend):
         self._k["active_extrema"](nmax, nmin, offsets, indices, keys, active)
         return nmax, nmin
 
-    def conflict_losers(self, src, dst, colors, prio, active) -> np.ndarray:
+    def conflict_losers(
+        self, colors, indices, ids, starts, counts, prio
+    ) -> np.ndarray:
+        starts = np.asarray(starts, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
         if (
-            src.dtype != np.int64
-            or dst.dtype != np.int64
-            or colors.dtype != np.int64
+            colors.dtype != np.int64
+            or indices.dtype != np.int64
+            or ids.dtype != np.int64
             or prio.dtype != np.int64
-            or active.dtype != np.bool_
-            or not self._supported(src, dst, colors, prio, active)
+            or len(starts) != len(ids)
+            or len(counts) != len(ids)
+            or not self._supported(colors, indices, ids, starts, counts, prio)
         ):
-            return self.fallback.conflict_losers(src, dst, colors, prio, active)
-        out = np.empty(len(src), dtype=np.int64)
-        k = self._k["conflict_losers"](out, src, dst, colors, prio, active)
+            return self.fallback.conflict_losers(
+                colors, indices, ids, starts, counts, prio
+            )
+        out = np.empty(int(counts.sum()), dtype=np.int64)
+        k = self._k["conflict_losers"](
+            out, colors, indices, ids, starts, counts, prio
+        )
         return out[: int(k)].copy()
 
 

@@ -105,29 +105,28 @@ class ReferenceBackend(Backend):
             # frexp's exponent is one past the bit's index either way.
             lowest = (free & -free).astype(np.float64)
             return (np.frexp(lowest)[1] - 1).astype(np.int64)
-        # Collect each segment's distinct positive neighbor colors sorted
-        # ascending; the mex is one past the longest prefix matching
-        # 1, 2, 3, …  (unique-encode + group-rank, fully vectorized).
-        owner = np.repeat(np.arange(k, dtype=np.int64), counts)
-        keep = nbr_colors > 0
-        owner, nbr_colors = owner[keep], nbr_colors[keep]
-        enc = np.unique(owner * np.int64(maxc + 2) + nbr_colors)
-        owner = enc // np.int64(maxc + 2)
-        col = enc % np.int64(maxc + 2)
-        sizes = np.bincount(owner, minlength=k)
-        group_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-        rank = np.arange(len(owner), dtype=np.int64) - group_start[owner]
-        good = col == rank + 1
-        out = sizes + 1  # default: colors form a full prefix 1..size
-        bad = np.flatnonzero(~good)
-        if len(bad):
-            # First bad position per owner: positions ascend within
-            # groups, so writing reversed makes the earliest win.
-            first = np.full(k, -1, dtype=np.int64)
-            first[owner[bad][::-1]] = bad[::-1]
-            has = first >= 0
-            out[has] = first[has] - group_start[has] + 1
-        return out.astype(np.int64)
+        # Past one word: segment s needs ceil((counts[s] + 2) / 64)
+        # words, as its mex is at most counts[s] + 1 and larger colors
+        # cannot move it.  Word w of a segment holds colors 64w..64w+63.
+        words = ((counts + 1) >> 6) + 1
+        word0 = np.cumsum(words) - words
+        keep = (nbr_colors > 0) & (nbr_colors <= np.repeat(counts + 1, counts))
+        c = nbr_colors[keep]
+        used = np.zeros(int(words.sum()), dtype=np.int64)
+        np.bitwise_or.at(
+            used,
+            np.repeat(word0, counts)[keep] + (c >> 6),
+            np.left_shift(np.int64(1), c & 63),
+        )
+        used[word0] |= 1
+        free = ~used
+        # Each segment has a clear bit in its own words; take the first
+        # word holding one, then that word's lowest clear bit.
+        clear = np.flatnonzero(free)
+        first = clear[np.searchsorted(clear, word0)]
+        word = free[first]
+        lowest = (word & -word).astype(np.float64)
+        return (first - word0) * 64 + (np.frexp(lowest)[1] - 1).astype(np.int64)
 
     def active_max(
         self,
@@ -158,11 +157,20 @@ class ReferenceBackend(Backend):
 
     def conflict_losers(
         self,
-        src: np.ndarray,
-        dst: np.ndarray,
         colors: np.ndarray,
+        indices: np.ndarray,
+        ids: np.ndarray,
+        starts: np.ndarray,
+        counts: np.ndarray,
         prio: np.ndarray,
-        active: np.ndarray,
     ) -> np.ndarray:
-        clash = (colors[src] == colors[dst]) & active[src] & (colors[src] > 0)
-        return np.where(prio[src] < prio[dst], src, dst)[clash]
+        counts = np.asarray(counts, dtype=np.int64)
+        excl = np.cumsum(counts) - counts
+        pos = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(
+            np.asarray(starts, dtype=np.int64) - excl, counts
+        )
+        dst = indices[pos]
+        own = np.repeat(colors[ids], counts)
+        clash = (own == colors[dst]) & (own > 0)
+        s, d = np.repeat(ids, counts)[clash], dst[clash]
+        return np.where(prio[s] < prio[d], s, d)

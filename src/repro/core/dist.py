@@ -8,8 +8,9 @@ simulated device executes the superstep kernels over the vertices it
 owns, and devices meet at a cluster barrier where boundary colors cross
 the interconnect as halo messages and fast devices stall for the
 slowest one.  The supersteps read only the owner map and the per-vertex
-boundary flags; per-device work is tallied once per superstep with one
-``bincount`` over the owner map, never by k masked passes.
+boundary flags.  Each superstep gathers its frontier's owners once, and
+every per-device tally is one ``bincount`` over that frontier (or its
+winners or losers), never a pass over all n vertices or m arcs.
 
 Algorithm semantics are *device-count invariant by construction*: every
 device draws the same per-iteration random keys (seed-replicated, as in
@@ -31,9 +32,10 @@ forks.
 Boundary conflicts (two devices speculatively giving one color to the
 two endpoints of a cut edge) are resolved by the priority rule in
 bounded rounds: the lower-priority endpoint reverts, the reversion is
-broadcast in the round's second halo exchange, and the rounds guard
-(``rounds > n + 1``) bounds termination exactly as in the
-single-device speculative implementation.
+broadcast in the round's second halo exchange.  The highest-priority
+active vertex never loses, so every round finalizes one vertex at least
+and a run takes at most n rounds; the guard raises past that, exactly
+as in the single-device speculative implementation.
 """
 
 from __future__ import annotations
@@ -48,11 +50,12 @@ from .._rng import RngLike, ensure_rng
 from ..errors import ColoringError
 from ..gpusim.cluster import ClusterCostModel, ClusterSpec, InterconnectSpec
 from ..gpusim.device import DeviceSpec
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, arc_positions
 from ..graph.partition import boundary_flags, partition_owner
 from ..trace import span_phase, tag_iteration
 from .keys import strict_keys
 from .result import ColoringResult
+from .speculative import _lost
 
 __all__ = [
     "distributed_jpl_coloring",
@@ -78,14 +81,14 @@ def _make_cluster(
     return ClusterCostModel(ClusterSpec.homogeneous(num_devices, **kwargs))
 
 
-def _per_device(owner, ndev, mask, weights=None) -> list:
-    """Per-device count of the ``mask``ed vertices — or the sum of
-    their ``weights`` — as exact Python ints, in one bincount.  Weight
-    sums are nonnegative integers below 2**53, so the float64
-    accumulation is exact."""
+def _per_device(dev, ndev, weights=None) -> list:
+    """Per-device count of some vertices — or the sum of their
+    ``weights`` — given each one's owning device ``dev``, as exact Python
+    ints, in one bincount.  Weight sums are nonnegative integers below
+    2**53, so the float64 accumulation is exact."""
     if weights is None:
-        return np.bincount(owner[mask], minlength=ndev).tolist()
-    sums = np.bincount(owner[mask], weights=weights[mask], minlength=ndev)
+        return np.bincount(dev, minlength=ndev).tolist()
+    sums = np.bincount(dev, weights=weights, minlength=ndev)
     return [int(x) for x in sums]
 
 
@@ -114,25 +117,28 @@ def distributed_jpl_coloring(
     owner = partition_owner(graph, ndev, method=partitioner)
     boundary = boundary_flags(graph, owner)
     degrees = graph.degrees
+    offsets = graph.offsets
+    be = _backend.current()
 
     colors = np.zeros(n, dtype=np.int64)
     iterations = 0
     while True:
         active = colors == 0
-        if not active.any():
+        ids = be.frontier_compact(active)
+        if len(ids) == 0:
             break
         if iterations > 2 * n + 16:
             raise ColoringError("dist.jpl failed to converge")
         iterations += 1
         keys = strict_keys(n, gen)
-        nmax = _backend.current().active_max(
-            graph.offsets, graph.indices, keys, active
-        )
-        winners = active & (keys > nmax)
-        colors[winners] = iterations
-        n_active = _per_device(owner, ndev, active)
-        n_arcs = _per_device(owner, ndev, active, degrees)
-        n_halo = _per_device(owner, ndev, winners & boundary)
+        nmax = be.active_max(offsets, graph.indices, keys, active)
+        won = keys[ids] > nmax[ids]
+        colors[ids[won]] = iterations
+        dev = owner[ids]
+        degs = degrees[ids]
+        n_active = _per_device(dev, ndev)
+        n_arcs = _per_device(dev, ndev, degs)
+        n_halo = _per_device(dev[won & boundary[ids]], ndev)
         for d in range(ndev):
             cm = cluster.device(d)
             tag_iteration(cm.trace, iterations - 1)
@@ -141,23 +147,23 @@ def distributed_jpl_coloring(
                 cm.charge_edge_balanced(n_arcs[d], name="jpl_kernel", eff=1.85)
                 san = cm.sanitizer
                 if san is not None:
-                    owned = owner == d
-                    local_active = active & owned
-                    src_arcs = np.repeat(np.arange(n, dtype=np.int64), degrees)
-                    arc_mask = local_active[src_arcs]
+                    mine = dev == d
+                    dids, ddegs = ids[mine], degs[mine]
+                    lanes = np.repeat(dids, ddegs)
+                    nbrs = graph.indices[arc_positions(offsets, dids, ddegs)]
                     with san.kernel("dist_jpl_kernel") as k:
                         # Thread v (owned, active) scans its local row —
                         # local and ghost neighbors alike — and writes
                         # only its own color slot.
-                        k.read("active", graph.indices[arc_mask], lane=src_arcs[arc_mask])
-                        k.read("keys", graph.indices[arc_mask], lane=src_arcs[arc_mask])
-                        dwon = np.flatnonzero(winners & owned)
+                        k.read("active", nbrs, lane=lanes)
+                        k.read("keys", nbrs, lane=lanes)
+                        dwon = ids[won & mine]
                         k.write("colors", dwon, lane=dwon)
                     with san.kernel("halo_exchange_kernel") as k:
                         # Each device refreshes its private ghost slots:
                         # ghost g is written by exactly the lane that
                         # owns that mirror slot.
-                        ghost_upd = np.flatnonzero(winners & ~owned)
+                        ghost_upd = ids[won & ~mine]
                         k.read("colors", ghost_upd, lane=ghost_upd)
                         k.write("ghost_colors", ghost_upd, lane=ghost_upd)
                 cm.charge_reduce(n_active[d], name="done_check")
@@ -203,7 +209,6 @@ def distributed_speculative_coloring(
     ndev = cluster.num_devices
     owner = partition_owner(graph, ndev, method=partitioner)
     boundary = boundary_flags(graph, owner)
-    degrees = graph.degrees
     be = _backend.current()
 
     prio = strict_keys(n, gen)
@@ -212,25 +217,24 @@ def distributed_speculative_coloring(
     cluster.barrier()
 
     colors = np.zeros(n, dtype=np.int64)
-    final = np.zeros(n, dtype=bool)
-    src_all = np.repeat(np.arange(n, dtype=np.int64), degrees)
+    offsets = graph.offsets
+    scratch = np.zeros(n, dtype=bool)
+    ids = np.arange(n, dtype=np.int64)
     rounds = 0
-    while not final.all():
-        if rounds > n + 1:
+    while len(ids):
+        if rounds == n:
             raise ColoringError("dist.speculative failed to converge")
         rounds += 1
-        active = ~final
-        ids = be.frontier_compact(active)
-        offsets = graph.offsets
-        segs = offsets[ids + 1] - offsets[ids]
-        proposal = be.segmented_mex(colors, graph.indices, offsets[ids], segs)
-        colors[ids] = proposal
-        losers = be.conflict_losers(src_all, graph.indices, colors, prio, active)
-        loser_mask = np.zeros(n, dtype=bool)
-        loser_mask[losers] = True
-        n_arcs = _per_device(owner, ndev, active, degrees)
-        n_speculate = _per_device(owner, ndev, active & boundary)
-        n_resolve = _per_device(owner, ndev, loser_mask & boundary)
+        starts = offsets[ids]
+        segs = offsets[ids + 1] - starts
+        colors[ids] = be.segmented_mex(colors, graph.indices, starts, segs)
+        losers = be.conflict_losers(colors, graph.indices, ids, starts, segs, prio)
+        dev = owner[ids]
+        cut = boundary[ids]
+        lost = _lost(ids, losers, scratch)
+        n_arcs = _per_device(dev, ndev, segs)
+        n_speculate = _per_device(dev[cut], ndev)
+        n_resolve = _per_device(dev[lost & cut], ndev)
         for d in range(ndev):
             cm = cluster.device(d)
             tag_iteration(cm.trace, rounds - 1)
@@ -241,7 +245,7 @@ def distributed_speculative_coloring(
                     with san.kernel("dist_speculate_kernel") as k:
                         # Each active owned vertex gathers its row's
                         # forbidden colors and writes its own slot.
-                        dids = np.flatnonzero(active & (owner == d))
+                        dids = ids[dev == d]
                         k.read("colors_snapshot", dids, lane=dids)
                         k.write("colors", dids, lane=dids)
                 cm.charge_sync(name="speculate_sync")
@@ -260,7 +264,7 @@ def distributed_speculative_coloring(
                         # the clash; the agreed loser is uncolored with
                         # an atomic exchange (either side may win the
                         # store — the value is identical).
-                        dlose = np.flatnonzero(loser_mask & (owner == d))
+                        dlose = ids[lost & (dev == d)]
                         k.read("prio", dlose, lane=dlose)
                         k.write("colors", dlose, atomic=True)
                 cm.charge_sync(name="conflict_sync")
@@ -268,10 +272,8 @@ def distributed_speculative_coloring(
             [HALO_BYTES_PER_VERTEX * h for h in n_resolve],
             name="boundary_resolve",
         )
-        final |= active
-        if len(losers):
-            colors[losers] = 0
-            final[losers] = False
+        ids = ids[lost]
+        colors[ids] = 0
 
     algorithm = (
         "dist.speculative" if ndev == 1 else f"dist.speculative[d={ndev}]"

@@ -15,6 +15,11 @@ kernels are load-balanced edge-parallel (forbidden-color gathering and
 conflict detection), so unlike the serial-loop IS variants it does not
 pay the degree-saturation penalty — but it may need several rework
 rounds on dense regions.
+
+Both kernels scan only the active vertices' rows, so a round costs
+O(frontier arcs), as charged.  The highest-priority active vertex never
+loses a clash, so every round finalizes a vertex at least: a run takes
+at most n rounds (K_n takes exactly n), and the guard raises past that.
 """
 
 from __future__ import annotations
@@ -36,18 +41,20 @@ from .result import ColoringResult
 __all__ = ["speculative_gpu_coloring"]
 
 
-def _speculative_first_fit(graph: CSRGraph, colors: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """Smallest color unused by any neighbor (per the snapshot), for
-    every active vertex at once — the backend's segmented mex over
-    neighbor colors."""
-    ids = _backend.current().frontier_compact(active)
-    if len(ids) == 0:
-        return np.empty(0, dtype=np.int64)
-    offsets = graph.offsets
-    degs = offsets[ids + 1] - offsets[ids]
-    return _backend.current().segmented_mex(
-        colors, graph.indices, offsets[ids], degs
-    )
+def _lost(ids: np.ndarray, losers: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Which of a round's active vertices ``ids`` lost a clash: one bool
+    per entry of ``ids``.  The losers, ascending and once each, are the
+    next round's active vertices.
+
+    Active vertices enter a round uncolored and first-fit around every
+    colored neighbor, so both endpoints of a clash are active and every
+    loser is in ``ids``.  ``scratch`` is an all-false n-length mask, and
+    is left all-false again.
+    """
+    scratch[losers] = True
+    out = scratch[ids]
+    scratch[losers] = False
+    return out
 
 
 def speculative_gpu_coloring(
@@ -66,32 +73,32 @@ def speculative_gpu_coloring(
     cost.charge_map(n, name="init_random")
 
     colors = np.zeros(n, dtype=np.int64)
-    final = np.zeros(n, dtype=bool)
-    src_all = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
+    offsets = graph.offsets
+    be = _backend.current()
+    scratch = np.zeros(n, dtype=bool)
+    ids = np.arange(n, dtype=np.int64)
     rounds = 0
-    while not final.all():
-        if rounds > n + 1:
+    while len(ids):
+        # The highest-priority active vertex never loses a clash, so
+        # every round finalizes at least one vertex.
+        if rounds == n:
             raise ColoringError("speculative coloring failed to converge")
         rounds += 1
-        active = ~final
-        ids = np.flatnonzero(active)
-        active_arcs = int(graph.degrees[active].sum())
+        starts = offsets[ids]
+        degs = offsets[ids + 1] - starts
+        active_arcs = int(degs.sum())
         # Kernel 1: speculative first-fit (edge-parallel gather of
         # forbidden colors + per-vertex mex).
-        colors[ids] = _speculative_first_fit(graph, colors, active)
+        colors[ids] = be.segmented_mex(colors, graph.indices, starts, degs)
         cost.charge_edge_balanced(active_arcs, name="speculate_kernel", eff=2.0)
         cost.charge_sync(name="speculate_sync")
         # Kernel 2: conflict detection over the arcs of active vertices;
         # the lower-priority endpoint of each violation reverts.
-        losers = _backend.current().conflict_losers(
-            src_all, graph.indices, colors, prio, active
-        )
+        losers = be.conflict_losers(colors, graph.indices, ids, starts, degs, prio)
         cost.charge_edge_balanced(active_arcs, name="conflict_kernel", eff=1.0)
         cost.charge_sync(name="conflict_sync")
-        final |= active
-        if len(losers):
-            colors[losers] = 0
-            final[losers] = False
+        ids = ids[_lost(ids, losers, scratch)]
+        colors[ids] = 0
     return ColoringResult(
         colors=colors,
         algorithm="gpu.speculative",

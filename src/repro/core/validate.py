@@ -31,26 +31,22 @@ def _conflict_mask(graph: CSRGraph, colors: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"colors length {len(colors)} != vertices {graph.num_vertices}"
         )
-    src = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
-    )
-    dst = graph.indices
-    return (colors[src] == colors[dst]) & (colors[src] > 0)
+    own = np.repeat(colors, graph.degrees)
+    return (own == colors[graph.indices]) & (own > 0)
 
 
 def count_conflicts(graph: CSRGraph, colors: np.ndarray) -> int:
     """Number of conflicting *edges* (each undirected conflict counted once)."""
-    conflicts = int(_conflict_mask(graph, colors).sum())
+    conflicts = int(np.count_nonzero(_conflict_mask(graph, colors)))
     return conflicts // 2 if graph.undirected else conflicts
 
 
 def find_conflicts(graph: CSRGraph, colors: np.ndarray) -> np.ndarray:
     """The conflicting edges as an ``(k, 2)`` array with u < v."""
-    mask = _conflict_mask(graph, colors)
-    src = np.repeat(
-        np.arange(graph.num_vertices, dtype=np.int64), graph.degrees
-    )
-    u, v = src[mask], graph.indices[mask]
+    pos = np.flatnonzero(_conflict_mask(graph, colors))
+    # The row holding arc ``pos`` is its source.
+    u = np.searchsorted(graph.offsets, pos, side="right") - 1
+    v = graph.indices[pos]
     if graph.undirected:
         keep = u < v
         u, v = u[keep], v[keep]

@@ -215,10 +215,11 @@ def partition_owner(
 def boundary_flags(graph: CSRGraph, owner: np.ndarray) -> np.ndarray:
     """``bool[n]``: the vertex is the source of at least one cut arc
     (an arc to a vertex on another device)."""
-    src, dst = graph.arcs()
-    flags = np.zeros(graph.num_vertices, dtype=bool)
-    flags[src[owner[src] != owner[dst]]] = True
-    return flags
+    cut = np.repeat(owner, graph.degrees) != owner[graph.indices]
+    # A row has a cut arc iff the running cut count grows across it.
+    seen = np.concatenate([[0], np.cumsum(cut, dtype=np.int64)])
+    offsets = graph.offsets
+    return seen[offsets[1:]] > seen[offsets[:-1]]
 
 
 def partition_graph(

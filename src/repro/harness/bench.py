@@ -179,7 +179,7 @@ def kernel_speedups(
     active = np.ones(n, dtype=bool)
     degs = graph.offsets[1:] - graph.offsets[:-1]
     starts = np.ascontiguousarray(graph.offsets[:-1])
-    src_all = np.repeat(np.arange(n, dtype=np.int64), degs)
+    ids = np.arange(n, dtype=np.int64)
     calls = {
         "active_extrema": lambda b: b.active_extrema(
             graph.offsets, graph.indices, keys, active
@@ -191,7 +191,7 @@ def kernel_speedups(
             graph.offsets, graph.indices, keys, active
         ),
         "conflict_losers": lambda b: b.conflict_losers(
-            src_all, graph.indices, colors, prio, active
+            colors, graph.indices, ids, starts, degs, prio
         ),
     }
 

@@ -115,10 +115,21 @@ def _kernel_inputs(n=48, p=0.22, seed=9):
         "idx": gen.integers(0, n, size=m).astype(np.int64),
         "vals_i64": gen.integers(-50, 50, size=m).astype(np.int64),
         "vals_f64": gen.standard_normal(m),
-        "src": np.repeat(
-            np.arange(n, dtype=np.int64), np.diff(offsets)
-        ),
     }
+
+
+def _rows(offsets, active):
+    """The row form of the active vertices: ``(ids, starts, counts)``."""
+    ids = np.flatnonzero(active)
+    return ids, offsets[ids], offsets[ids + 1] - offsets[ids]
+
+
+def _conflict_losers_oracle(offsets, indices, colors, prio, active):
+    """The arc-list semantics ``conflict_losers`` had before it took
+    rows: scan all m arcs and keep those with an active source."""
+    src = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    clash = (colors[src] == colors[indices]) & active[src] & (colors[src] > 0)
+    return np.where(prio[src] < prio[indices], src, indices)[clash]
 
 
 @pytest.mark.parametrize("name", OPTIONAL)
@@ -271,12 +282,9 @@ class TestPrimitiveBitIdentity:
 
     def test_conflict_losers(self, name):
         be, ki = resolve(name), _kernel_inputs()
-        ref = REFERENCE.conflict_losers(
-            ki["src"], ki["indices"], ki["colors"], ki["prio"], ki["active"]
-        )
-        got = be.conflict_losers(
-            ki["src"], ki["indices"], ki["colors"], ki["prio"], ki["active"]
-        )
+        args = (ki["colors"], ki["indices"]) + _rows(ki["offsets"], ki["active"])
+        ref = REFERENCE.conflict_losers(*args, ki["prio"])
+        got = be.conflict_losers(*args, ki["prio"])
         assert np.array_equal(ref, got)
 
     def test_unsupported_dtype_falls_back(self, name):
@@ -343,6 +351,77 @@ class TestPrimitiveBitIdentity:
         gmax, gmin = be.active_extrema(offsets, indices, keys, active)
         assert np.array_equal(rmax, gmax)
         assert np.array_equal(rmin, gmin)
+
+
+@pytest.mark.parametrize("name", available_backends())
+class TestConflictLosersRows:
+    """``conflict_losers`` over active rows equals the old full-arc scan
+    restricted to active sources, element for element, on every backend."""
+
+    @staticmethod
+    def _check(name, offsets, indices, colors, prio, active):
+        offsets = np.asarray(offsets, dtype=np.int64)
+        indices = np.asarray(indices, dtype=np.int64)
+        colors = np.asarray(colors, dtype=np.int64)
+        prio = np.asarray(prio, dtype=np.int64)
+        active = np.asarray(active, dtype=bool)
+        got = resolve(name).conflict_losers(
+            colors, indices, *_rows(offsets, active), prio
+        )
+        want = _conflict_losers_oracle(offsets, indices, colors, prio, active)
+        assert got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        return got.tolist()
+
+    def test_empty_frontier(self, name):
+        ki = _kernel_inputs()
+        none = np.zeros(len(ki["colors"]), dtype=bool)
+        assert self._check(
+            name, ki["offsets"], ki["indices"], ki["colors"], ki["prio"], none
+        ) == []
+
+    def test_isolated_rows_and_uncolored_sources(self, name):
+        # 0-1 and 2-3 clash on color 2; 4 and 5 are isolated; 6-7 share
+        # color 0, which is never a clash.
+        offsets = [0, 1, 2, 3, 4, 4, 4, 5, 6]
+        indices = [1, 0, 3, 2, 7, 6]
+        colors = [2, 2, 2, 2, 1, 1, 0, 0]
+        prio = [5, 3, 0, 9, 1, 2, 7, 6]
+        got = self._check(name, offsets, indices, colors, prio, [True] * 8)
+        assert got == [1, 1, 2, 2]
+
+    def test_duplicate_clashes(self, name):
+        # A low-priority hub loses once per clashing arc, duplicate arcs
+        # included, and an inactive source's arcs are skipped.
+        offsets = [0, 4, 5, 6, 8]
+        indices = [1, 1, 2, 3, 0, 0, 0, 0]
+        colors = [4, 4, 4, 4]
+        prio = [0, 3, 2, 1]
+        active = [True, True, False, True]
+        got = self._check(name, offsets, indices, colors, prio, active)
+        assert got == [0, 0, 0, 0, 0, 0, 0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_property_arbitrary_csr(self, name, data):
+        n = data.draw(st.integers(min_value=0, max_value=14), label="n")
+        deg = data.draw(
+            st.lists(st.integers(0, 5), min_size=n, max_size=n), label="deg"
+        )
+        offsets = np.concatenate([[0], np.cumsum(np.asarray(deg, dtype=np.int64))])
+        m = int(offsets[-1])
+        indices = data.draw(
+            st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m),
+            label="indices",
+        )
+        colors = data.draw(
+            st.lists(st.integers(-1, 3), min_size=n, max_size=n), label="colors"
+        )
+        prio = data.draw(st.permutations(range(n)), label="prio")
+        active = data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n), label="active"
+        )
+        self._check(name, offsets, indices, colors, prio, active)
 
 
 # ---------------------------------------------------------------------------

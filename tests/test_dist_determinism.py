@@ -29,7 +29,7 @@ from repro.backend import available_backends, resolve, use
 from repro.core.dist import HALO_BYTES_PER_VERTEX
 from repro.core.registry import run_algorithm
 from repro.core.validate import is_valid_coloring
-from repro.graph.partition import partition_graph
+from repro.graph.partition import PARTITION_METHODS, partition_graph
 from repro.harness import datasets as ds
 from repro.harness import faults
 from repro.harness.runner import run_grid
@@ -75,6 +75,25 @@ class TestDeviceCountInvariance:
             assert is_valid_coloring(g, result.colors), (impl, k)
             outs.append(result.colors.tobytes())
         assert len(set(outs)) == 1, f"{impl}: colors vary with device count"
+
+    @pytest.mark.parametrize("partitioner", PARTITION_METHODS)
+    @pytest.mark.parametrize("impl", DIST_ALGORITHMS)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        g=graphs(max_vertices=24, max_edges=80),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        data=st.data(),
+    )
+    def test_any_device_count_matches_one_device(
+        self, impl, partitioner, g, seed, data
+    ):
+        k = data.draw(st.integers(min_value=1, max_value=g.num_vertices), label="k")
+        one = run_algorithm(f"{impl}@d1", g, rng=seed)
+        many = run_algorithm(
+            impl, g, rng=seed, num_devices=k, partitioner=partitioner
+        )
+        assert many.colors.tobytes() == one.colors.tobytes()
+        assert many.iterations == one.iterations
 
     @pytest.mark.parametrize("impl", DIST_ALGORITHMS)
     def test_repeat_runs_are_bit_identical(self, petersen, impl):

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
+from repro.graph.csr import CSRGraph
 from repro.graph.partition import (
     PARTITION_METHODS,
     block_partition,
@@ -137,6 +138,34 @@ def test_boundary_flags_exactly_cut_sources(method, gk):
             assert bool(p.boundary[li]) == bool(remote.any())
             cut += int(remote.sum())
     assert part.cut_arcs == cut
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    g=graphs(max_vertices=24, max_edges=60),
+    isolated=st.integers(min_value=0, max_value=4),
+    data=st.data(),
+)
+def test_boundary_flags_match_per_arc_definition(g, isolated, data):
+    """Any owner map — not only a partitioner's — on graphs with
+    trailing isolated vertices, one device included."""
+    n = g.num_vertices + isolated
+    graph = CSRGraph(
+        np.concatenate([g.offsets, np.full(isolated, g.num_arcs, dtype=np.int64)]),
+        g.indices,
+    )
+    k = data.draw(st.integers(min_value=1, max_value=n), label="k")
+    owner = np.asarray(
+        data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    want = [
+        any(owner[u] != owner[v] for u in graph.neighbors(v)) for v in range(n)
+    ]
+    flags = boundary_flags(graph, owner)
+    assert flags.dtype == np.bool_
+    assert flags.tolist() == want
+    assert not boundary_flags(graph, np.zeros(n, dtype=np.int64)).any()
 
 
 @pytest.mark.parametrize("method", PARTITION_METHODS)

@@ -680,7 +680,8 @@ class TestBitsetMex:
     )
     @settings(max_examples=200, deadline=None)
     def test_matches_definition(self, data, n, k, top):
-        # Colors up to 62 take the bitset path, larger ones the unique path.
+        # Colors up to 62 take the one-word bitset, larger ones the
+        # multi-word bitset.
         colors = np.asarray(
             data.draw(st.lists(st.integers(-3, top), min_size=n, max_size=n)),
             dtype=np.int64,
@@ -710,13 +711,88 @@ class TestBitsetMex:
 
     @pytest.mark.parametrize("top", [63, 64, 65])
     def test_colors_past_the_bitset(self, top):
-        # 1..top all taken: the mex is top + 1, which needs the unique path.
+        # 1..top all taken: the mex is top + 1, past the first word.
         colors = np.arange(top + 1, dtype=np.int64)
         indices = np.arange(top + 1, dtype=np.int64)
         got = ReferenceBackend().segmented_mex(
             colors, indices, np.array([0]), np.array([top + 1])
         )
         assert got.tolist() == [top + 1]
+
+
+def _segmented_mex_unique(colors, indices, starts, counts):
+    """The ``np.unique`` formulation the reference ``segmented_mex`` used
+    for colors of 63 and up: encode (segment, color), deduplicate, and
+    find each segment's first gap in 1, 2, 3, …"""
+    k = len(starts)
+    counts = np.asarray(counts, dtype=np.int64)
+    out = np.ones(k, dtype=np.int64)
+    if k == 0 or counts.sum() == 0:
+        return out
+    pos = np.concatenate(
+        [np.arange(s, s + c, dtype=np.int64) for s, c in zip(starts, counts)]
+    )
+    nbr_colors = colors[indices[pos]]
+    maxc = int(nbr_colors.max())
+    owner = np.repeat(np.arange(k, dtype=np.int64), counts)
+    keep = nbr_colors > 0
+    owner, nbr_colors = owner[keep], nbr_colors[keep]
+    enc = np.unique(owner * np.int64(maxc + 2) + nbr_colors)
+    owner = enc // np.int64(maxc + 2)
+    col = enc % np.int64(maxc + 2)
+    sizes = np.bincount(owner, minlength=k)
+    group_start = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    rank = np.arange(len(owner), dtype=np.int64) - group_start[owner]
+    out = sizes + 1
+    bad = np.flatnonzero(col != rank + 1)
+    if len(bad):
+        first = np.full(k, -1, dtype=np.int64)
+        first[owner[bad][::-1]] = bad[::-1]
+        has = first >= 0
+        out[has] = first[has] - group_start[has] + 1
+    return out.astype(np.int64)
+
+
+class TestMultiWordMex:
+    """Colors of 63 and up: the multi-word bitset against the
+    ``np.unique`` formulation it replaced."""
+
+    @given(
+        data=st.data(),
+        n=st.integers(1, 700),
+        k=st.integers(0, 20),
+        top=st.sampled_from([63, 127, 128, 300, 600]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_unique_oracle(self, data, n, k, top):
+        seed = data.draw(st.integers(0, 2**31), label="seed")
+        rng = ensure_rng(seed)
+        colors = rng.integers(-2, top + 1, n, dtype=np.int64)
+        colors[rng.integers(0, n)] = top
+        m = int(rng.integers(0, 2000))
+        indices = rng.integers(0, n, m, dtype=np.int64)
+        starts = rng.integers(0, m + 1, k, dtype=np.int64)
+        counts = (rng.random(k) * (m - starts + 1)).astype(np.int64)
+        got = ReferenceBackend().segmented_mex(colors, indices, starts, counts)
+        want = _segmented_mex_unique(colors, indices, starts, counts)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("top", [63, 64, 127, 128, 599, 600])
+    def test_full_prefix_across_words(self, top):
+        # Segment 0 sees 1..top, so its mex is top + 1; segment 1 misses
+        # color 64 only; segment 2 sees only colors past its count.
+        colors = np.arange(top + 1, dtype=np.int64)
+        indices = np.arange(top + 1, dtype=np.int64)
+        no64 = np.delete(indices, 64) if top >= 64 else indices
+        idx = np.concatenate([indices, no64, [top, top - 1]])
+        starts = np.array([0, top + 1, len(idx) - 2], dtype=np.int64)
+        counts = np.array([top + 1, len(no64), 2], dtype=np.int64)
+        got = ReferenceBackend().segmented_mex(colors, idx, starts, counts)
+        want = _segmented_mex_unique(colors, idx, starts, counts)
+        np.testing.assert_array_equal(got, want)
+        assert got[0] == top + 1
+        assert got[1] == (64 if top >= 64 else top + 1)
 
 
 def _fold_tables_unique(graph, survivors, colors, table, table_used):
