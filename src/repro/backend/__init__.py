@@ -1,17 +1,19 @@
 """Pluggable kernel-execution backends.
 
 The hot loops of every implementation run through the small primitive
-set of :class:`~repro.backend.base.Backend` (scatter reductions,
-segmented reductions, fused coloring kernels, vxm combine, frontier
-compaction).  This module owns backend *selection*:
+set of :class:`Backend` (scatter reductions, segmented reductions,
+fused coloring kernels, vxm combine, frontier compaction).  ``Backend``
+is :class:`~repro.backend.reference.ReferenceBackend`: the reference
+implementation is the contract, and the other backend extends it.
+This module owns backend *selection*:
 
 * :func:`resolve` maps a requested name (explicit argument →
   ``REPRO_BACKEND`` environment variable → ``"reference"``) to a
-  backend instance.  Optional backends that cannot load (numba not
-  installed, no C compiler) warn **once** and resolve to the reference
-  backend — so the *effective* backend name, ``resolve(...).name``, is
-  what flows into journal config hashes, trace/metrics labels and the
-  BENCH environment fingerprint.
+  backend instance.  ``cnative`` warns **once** and resolves to the
+  reference backend when it cannot load (no C compiler) — so the
+  *effective* backend name, ``resolve(...).name``, is what flows into
+  journal config hashes, trace/metrics labels and the BENCH
+  environment fingerprint.
 * :func:`use` scopes a backend for the duration of a run (the runner
   and ``run_algorithm`` wrap every execution in it).
 * :func:`current` is what call sites dispatch through.
@@ -27,9 +29,6 @@ Known backends:
 ``cnative``
     Fused C kernels compiled on first use with the system C compiler
     (:mod:`.cnative`); falls back to reference when no compiler exists.
-``numba``
-    The same fused kernels as ``@njit`` loops (:mod:`.numba_backend`);
-    falls back to reference when numba is not installed.
 """
 
 from __future__ import annotations
@@ -37,10 +36,12 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Union
 
-from .base import Backend, BackendError
-from .reference import ReferenceBackend
+from .reference import BackendError, ReferenceBackend
+
+#: The base class of every backend: the reference implementation.
+Backend = ReferenceBackend
 
 __all__ = [
     "Backend",
@@ -61,29 +62,19 @@ DEFAULT_BACKEND = "reference"
 ENV_VAR = "REPRO_BACKEND"
 
 #: Names :func:`resolve` accepts, in documentation order.
-KNOWN_BACKENDS = ("reference", "numba", "cnative")
+KNOWN_BACKENDS = ("reference", "cnative")
 
 _instances: Dict[str, Backend] = {}
 _warned: set = set()
 _stack: List[Backend] = []
 
 
-def _load_optional(name: str):
-    if name == "numba":
-        from . import numba_backend
-
-        return numba_backend.load()
-    from . import cnative
-
-    return cnative.load()
-
-
 def resolve(name: Union[str, Backend, None] = None) -> Backend:
     """Resolve a backend request to an instance.
 
     ``None`` (or ``""``) consults ``$REPRO_BACKEND`` and defaults to
-    the reference backend.  An unavailable optional backend warns once
-    per process and resolves to reference, so callers can rely on the
+    the reference backend.  An unavailable ``cnative`` warns once per
+    process and resolves to reference, so callers can rely on the
     returned instance's ``.name`` as the effective label.  Unknown
     names raise :class:`BackendError`.
     """
@@ -96,8 +87,10 @@ def resolve(name: Union[str, Backend, None] = None) -> Backend:
         return _instances[name]
     if name == "reference":
         backend: Backend = ReferenceBackend()
-    elif name in KNOWN_BACKENDS:
-        loaded, reason = _load_optional(name)
+    elif name == "cnative":
+        from . import cnative
+
+        loaded, reason = cnative.load()
         if loaded is None:
             if name not in _warned:
                 _warned.add(name)
@@ -142,19 +135,16 @@ def available_backends() -> List[str]:
     machine.  Probing bypasses the fallback-warning path entirely, so
     it neither warns nor consumes the warn-once budget of a later
     explicit selection."""
-    names = [DEFAULT_BACKEND]
-    for name in KNOWN_BACKENDS:
-        if name == DEFAULT_BACKEND:
-            continue
-        if name in _instances:
-            if _instances[name].name == name:
-                names.append(name)
-            continue
-        loaded, _reason = _load_optional(name)
-        if loaded is not None:
-            _instances[name] = loaded
-            names.append(name)
-    return names
+    if "cnative" not in _instances:
+        from . import cnative
+
+        loaded, _reason = cnative.load()
+        if loaded is None:
+            return [DEFAULT_BACKEND]
+        _instances["cnative"] = loaded
+    if _instances["cnative"].name != "cnative":
+        return [DEFAULT_BACKEND]
+    return [DEFAULT_BACKEND, "cnative"]
 
 
 def _reset() -> None:

@@ -26,8 +26,9 @@ Bit identity with the reference backend is by construction:
   reductions), matching ``ufunc.at`` / ``reduceat`` semantics exactly,
   including float accumulation order and NaN propagation.
 
-Unsupported dtypes or non-contiguous outputs delegate to the reference
-implementation per call.
+Unsupported dtypes or non-contiguous outputs go to the inherited
+reference implementation per call; ``map_elementwise`` and
+``frontier_compact`` are inherited unchanged.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .base import Backend, OpLike, resolve_op
+from .reference import OpLike, ReferenceBackend, resolve_op
 
 __all__ = ["load", "CNativeBackend", "C_SOURCE"]
 
@@ -283,7 +284,7 @@ def _contig(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-class CNativeBackend(Backend):
+class CNativeBackend(ReferenceBackend):
     """Compiled-C execution of the fused hot kernels."""
 
     name = "cnative"
@@ -313,7 +314,7 @@ class CNativeBackend(Backend):
             or vals.shape != idx.shape
             or idx.dtype != np.int64
         ):
-            self.fallback.scatter_reduce(out, idx, vals, op)
+            super().scatter_reduce(out, idx, vals, op)
             return
         fn(_ptr(out), _ptr(_contig(idx)), _ptr(_contig(vals)),
            ctypes.c_int64(len(idx)))
@@ -330,7 +331,7 @@ class CNativeBackend(Backend):
             or vals.shape != idx.shape
             or idx.dtype != np.int64
         ):
-            self.fallback.scatter_hit(out, hit, idx, vals, op)
+            super().scatter_hit(out, hit, idx, vals, op)
             return
         fn(_ptr(out), _ptr(hit.view(np.uint8)), _ptr(_contig(idx)),
            _ptr(_contig(vals)), ctypes.c_int64(len(idx)))
@@ -356,7 +357,7 @@ class CNativeBackend(Backend):
             or int(starts.min()) < 0
             or int(starts.max()) >= len(values)
         ):
-            return self.fallback.segmented_reduce(values, starts, op)
+            return super().segmented_reduce(values, starts, op)
         out = np.empty(nseg, dtype=values.dtype)
         fn(_ptr(out), _ptr(_contig(values)), _ptr(_contig(starts)),
            ctypes.c_int64(nseg), ctypes.c_int64(len(values)))
@@ -369,7 +370,7 @@ class CNativeBackend(Backend):
         if nseg == 0:
             return np.empty(0, dtype=np.int64)
         if colors.dtype != np.int64 or indices.dtype != np.int64:
-            return self.fallback.segmented_mex(colors, indices, starts, counts)
+            return super().segmented_mex(colors, indices, starts, counts)
         out = np.empty(nseg, dtype=np.int64)
         stamp = np.zeros(int(counts.max(initial=0)) + 2, dtype=np.int64)
         self._lib.segmented_mex_i64(
@@ -387,7 +388,7 @@ class CNativeBackend(Backend):
             or keys.dtype != np.int64
             or active.dtype != np.bool_
         ):
-            return self.fallback.active_max(offsets, indices, keys, active)
+            return super().active_max(offsets, indices, keys, active)
         out = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
         self._lib.active_max_i64(
             _ptr(out), _ptr(_contig(offsets)), _ptr(_contig(indices)),
@@ -404,7 +405,7 @@ class CNativeBackend(Backend):
             or keys.dtype != np.int64
             or active.dtype != np.bool_
         ):
-            return self.fallback.active_extrema(offsets, indices, keys, active)
+            return super().active_extrema(offsets, indices, keys, active)
         nmax = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
         nmin = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)
         self._lib.active_extrema_i64(
@@ -427,7 +428,7 @@ class CNativeBackend(Backend):
             or len(starts) != len(ids)
             or len(counts) != len(ids)
         ):
-            return self.fallback.conflict_losers(
+            return super().conflict_losers(
                 colors, indices, ids, starts, counts, prio
             )
         colors, indices, ids, prio = map(_contig, (colors, indices, ids, prio))
@@ -441,7 +442,7 @@ class CNativeBackend(Backend):
         return out[:k]
 
 
-def load() -> Tuple[Optional[Backend], str]:
+def load() -> Tuple[Optional[ReferenceBackend], str]:
     """Build and wrap the compiled backend; (None, reason) on failure."""
     lib, reason = _build_library()
     if lib is None:

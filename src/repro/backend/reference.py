@@ -1,28 +1,82 @@
-"""The reference backend: today's vectorized numpy, verbatim.
+"""The reference backend: the kernel-execution contract and its
+interpreted-numpy definition.
 
-Every primitive here is a pure extraction of the code that used to live
-inline at its call sites (``core/``, ``gunrock/``, ``graphblas/``); the
-golden-trajectory suite pins the trajectories those loops produced, so
-this module is the executable definition of the bit-identity contract
-other backends are tested against.
+:class:`ReferenceBackend` executes the small set of data-parallel
+primitives every hot loop in ``core/``, ``gunrock/`` and ``graphblas/``
+is built from — elementwise maps, scatter reductions, segmented
+reductions, the fused coloring kernels (neighbor extrema, segmented
+mex, conflict resolution), the GraphBLAS vxm combine, and frontier
+compaction.  Algorithms describe *what* to compute; a backend decides
+*how* the inner loop runs.  It is also the base class of every other
+backend (``repro.backend.Backend`` names it), so its methods are the
+executable definition of the contract (docs/backends.md):
+
+* **Bit identity.**  For any inputs, a backend returns (or stores, for
+  the in-place primitives) arrays bit-identical to this class's.  All
+  simulated quantities — colors, coloring sha256, ``sim_ms``, kernel
+  counters, traces — are derived from these arrays, so swapping
+  backends can never change a result, only wall-clock.
+* **In-place semantics.**  ``scatter_reduce`` / ``scatter_hit`` update
+  ``out`` (and ``hit``) in place, applying ``vals`` in index order —
+  exactly ``np.ufunc.at``.  Float accumulation order is therefore part
+  of the contract.
+* **No cost-model interaction.**  Backends never touch the
+  :class:`~repro.gpusim.cost_model.CostModel`; structural charges stay
+  at the call sites, which is what keeps ``sim_ms`` backend-invariant.
+
+A subclass overrides the primitives it can accelerate and hands any
+input shape or dtype it has no specialized kernel for to ``super()``;
+correctness is mandatory, acceleration is best-effort.  No method here
+calls another primitive through ``self``, so a subclass's override (or
+a wrapper patched onto an instance) sees exactly the calls its callers
+make.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Tuple
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
+from ..errors import ReproError
 from ..graph.csr import arc_positions
-from .base import Backend, OpLike, resolve_op
 
-__all__ = ["ReferenceBackend"]
+__all__ = ["ReferenceBackend", "BackendError", "resolve_op", "OpLike"]
+
+#: Operations accepted by the reduction primitives: a kind string or a
+#: raw numpy ufunc (the GraphBLAS layer passes its monoid ufuncs).
+OpLike = Union[str, np.ufunc]
+
+_KIND_UFUNCS = {
+    "max": np.maximum,
+    "min": np.minimum,
+    "sum": np.add,
+    "add": np.add,
+    "mul": np.multiply,
+}
 
 _I64_MIN = np.iinfo(np.int64).min
 _I64_MAX = np.iinfo(np.int64).max
 
 #: Colors below this fit one int64 bitset (bit c for color c).
 _BITSET_COLORS = 63
+
+
+class BackendError(ReproError):
+    """Unknown backend name or invalid backend configuration."""
+
+
+def resolve_op(op: OpLike) -> np.ufunc:
+    """Normalize a reduction op (kind string or ufunc) to the ufunc."""
+    if isinstance(op, np.ufunc):
+        return op
+    try:
+        return _KIND_UFUNCS[op]
+    except KeyError:
+        raise BackendError(
+            f"unknown reduction op {op!r}; known kinds: "
+            f"{', '.join(sorted(set(_KIND_UFUNCS)))}"
+        ) from None
 
 
 def _active_arcs(offsets, indices, keys, active):
@@ -34,24 +88,36 @@ def _active_arcs(offsets, indices, keys, active):
     return dst, np.repeat(keys[ids], degs)
 
 
-class ReferenceBackend(Backend):
-    """Interpreted-numpy execution of every primitive."""
+class ReferenceBackend:
+    """Interpreted-numpy execution of every primitive, and the base
+    class other backends specialize."""
 
+    #: Selection name; also the label recorded in journals/traces/BENCH.
     name = "reference"
 
-    @property
-    def fallback(self) -> Backend:
-        return self
+    # -- generic primitives ------------------------------------------------
 
     def map_elementwise(self, fn: Callable, *arrays: np.ndarray):
+        """Apply an elementwise kernel ``fn`` to ``arrays``.
+
+        Elementwise maps are already fused vector code under numpy; the
+        primitive exists as the dispatch seam a device backend (CuPy)
+        needs, where the arrays live off-host.
+        """
         return fn(*arrays)
 
     def frontier_compact(self, mask: np.ndarray) -> np.ndarray:
+        """Indices of the true entries of ``mask``, ascending
+        (stream compaction — ``np.flatnonzero`` semantics)."""
         return np.flatnonzero(mask)
+
+    # -- scatter / segmented reductions ------------------------------------
 
     def scatter_reduce(
         self, out: np.ndarray, idx: np.ndarray, vals: np.ndarray, op: OpLike
     ) -> None:
+        """In-place ``resolve_op(op).at(out, idx, vals)``: fold each
+        ``vals[k]`` into ``out[idx[k]]``, in index order."""
         resolve_op(op).at(out, idx, vals)
 
     def scatter_hit(
@@ -62,13 +128,20 @@ class ReferenceBackend(Backend):
         vals: np.ndarray,
         op: OpLike,
     ) -> None:
+        """The GraphBLAS vxm/mxv combine: :meth:`scatter_reduce` fused
+        with marking ``hit[idx] = True`` (structural presence)."""
         resolve_op(op).at(out, idx, vals)
         hit[idx] = True
 
     def segmented_reduce(
         self, values: np.ndarray, starts: np.ndarray, op: OpLike
     ) -> np.ndarray:
+        """``resolve_op(op).reduceat(values, starts)``: reduce each
+        segment ``values[starts[i]:starts[i+1]]`` (last runs to the
+        end), with reduceat's single-element quirk for empty segments."""
         return resolve_op(op).reduceat(values, starts)
+
+    # -- fused coloring kernels --------------------------------------------
 
     def segmented_mex(
         self,
@@ -77,6 +150,15 @@ class ReferenceBackend(Backend):
         starts: np.ndarray,
         counts: np.ndarray,
     ) -> np.ndarray:
+        """Per-segment minimum excluded positive color.
+
+        Segment ``s`` covers ``indices[starts[s] : starts[s] +
+        counts[s]]`` (a CSR or sub-CSR neighbor list); the result is the
+        smallest integer ``>= 1`` not among ``colors`` of those
+        vertices, ignoring non-positive entries.  This is the level-sync
+        greedy conflict scan, the JPL min-available step, and the
+        speculative propose kernel.
+        """
         k = len(starts)
         if k == 0:
             return np.empty(0, dtype=np.int64)
@@ -135,6 +217,9 @@ class ReferenceBackend(Backend):
         keys: np.ndarray,
         active: np.ndarray,
     ) -> np.ndarray:
+        """Per-vertex max of ``keys`` over *active* neighbors of an
+        undirected CSR (int64 min where none) — the independent-set
+        selection scan."""
         dst, vals = _active_arcs(offsets, indices, keys, active)
         out = np.full(len(offsets) - 1, _I64_MIN, dtype=np.int64)
         np.maximum.at(out, dst, vals)
@@ -147,6 +232,8 @@ class ReferenceBackend(Backend):
         keys: np.ndarray,
         active: np.ndarray,
     ) -> Tuple[np.ndarray, np.ndarray]:
+        """Per-vertex max *and* min of ``keys`` over active neighbors
+        (the min-max IS optimization computes both in one pass)."""
         n = len(offsets) - 1
         dst, vals = _active_arcs(offsets, indices, keys, active)
         nmax = np.full(n, _I64_MIN, dtype=np.int64)
@@ -164,6 +251,15 @@ class ReferenceBackend(Backend):
         counts: np.ndarray,
         prio: np.ndarray,
     ) -> np.ndarray:
+        """Speculative-coloring conflict resolution over the rows of the
+        active vertices ``ids``.
+
+        Row ``i`` holds the arcs ``(ids[i], indices[starts[i] + j])``
+        for ``j < counts[i]`` (the :meth:`segmented_mex` row form).  For
+        every arc whose endpoints share a positive color, the result
+        holds the lower-priority endpoint — row after row, in arc order,
+        one entry per clashing arc.  Only these rows are scanned.
+        """
         counts = np.asarray(counts, dtype=np.int64)
         excl = np.cumsum(counts) - counts
         pos = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(

@@ -10,13 +10,12 @@ harness can treat the grid uniformly.
 
 from __future__ import annotations
 
+import functools
+import re
 from typing import Callable, Dict, List, Optional
 
 from .. import backend as _backend
 from .. import metrics
-import functools
-import re
-
 from .._rng import RngLike
 from ..errors import ColoringError
 from ..gpusim.device import DeviceSpec
@@ -32,8 +31,6 @@ from .gr_ar import gunrock_ar_coloring
 from .gr_hash import gunrock_hash_coloring
 from .gr_is import gunrock_is_coloring
 from .greedy import dsatur_coloring, greedy_coloring
-from .jones_plassmann import jones_plassmann_coloring
-from .luby import luby_coloring
 from .naumov import naumov_cc_coloring, naumov_jpl_coloring
 from .result import ColoringResult
 from .rlf import rlf_coloring
@@ -42,20 +39,13 @@ from .speculative import speculative_gpu_coloring
 __all__ = ["ALGORITHMS", "get_algorithm", "algorithm_names", "run_algorithm"]
 
 
-def _cpu(fn, **fixed):
-    """Adapter: swallow the ``device`` kwarg CPU algorithms don't take."""
+def _cpu(fn, *, seeded: bool = True, **fixed):
+    """Adapter: drop the ``device`` kwarg CPU algorithms don't take,
+    and ``rng`` too for the deterministic ones (``seeded=False``)."""
 
     def wrapper(graph: CSRGraph, *, rng: RngLike = None, device=None, **kw):
-        return fn(graph, rng=rng, **fixed, **kw)
-
-    wrapper.__doc__ = fn.__doc__
-    return wrapper
-
-
-def _cpu_nornd(fn, **fixed):
-    """Adapter for deterministic CPU algorithms (no rng either)."""
-
-    def wrapper(graph: CSRGraph, *, rng: RngLike = None, device=None, **kw):
+        if seeded:
+            kw["rng"] = rng
         return fn(graph, **fixed, **kw)
 
     wrapper.__doc__ = fn.__doc__
@@ -81,23 +71,17 @@ ALGORITHMS: Dict[str, Callable[..., ColoringResult]] = {
     "cpu.greedy": _cpu(greedy_coloring, ordering="random"),
     "cpu.greedy_natural": _cpu(greedy_coloring, ordering="natural"),
     # -- Table II variants ----------------------------------------------------
-    "gunrock.is_single": lambda graph, *, rng=None, device=None, **kw: (
-        gunrock_is_coloring(graph, min_max=False, rng=rng, device=device, **kw)
+    "gunrock.is_single": functools.partial(gunrock_is_coloring, min_max=False),
+    "gunrock.is_atomics": functools.partial(
+        gunrock_is_coloring, min_max=False, use_atomics=True
     ),
-    "gunrock.is_atomics": lambda graph, *, rng=None, device=None, **kw: (
-        gunrock_is_coloring(
-            graph, min_max=False, use_atomics=True, rng=rng, device=device, **kw
-        )
-    ),
-    # -- references & extensions ----------------------------------------------
+    # -- CPU references & extensions ------------------------------------------
     "cpu.greedy_lf": _cpu(greedy_coloring, ordering="largest_first"),
     "cpu.greedy_sl": _cpu(greedy_coloring, ordering="smallest_last"),
-    "cpu.dsatur": _cpu_nornd(dsatur_coloring),
+    "cpu.dsatur": _cpu(dsatur_coloring, seeded=False),
     "cpu.gm": _cpu(gebremedhin_manne_coloring),
-    "cpu.rlf": _cpu_nornd(rlf_coloring),
+    "cpu.rlf": _cpu(rlf_coloring, seeded=False),
     "gpu.speculative": speculative_gpu_coloring,
-    "reference.luby": _cpu(luby_coloring),
-    "reference.jp": _cpu(jones_plassmann_coloring),
     # -- distributed (multi-device) variants ----------------------------------
     # Device counts are selected per call (``num_devices=...``) or via
     # the parameterized id form ``dist.jpl@d4`` (see get_algorithm).

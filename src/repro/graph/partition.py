@@ -153,7 +153,7 @@ class GraphPartition:
 def block_partition(graph: CSRGraph, num_devices: int) -> np.ndarray:
     """1D contiguous block owner map: device ``d`` owns global ids
     ``[d*n//k, (d+1)*n//k)``."""
-    _check_k(graph, num_devices)
+    _check_k(num_devices)
     n = graph.num_vertices
     bounds = np.array(
         [d * n // num_devices for d in range(num_devices + 1)], dtype=np.int64
@@ -172,7 +172,7 @@ def edge_cut_partition(graph: CSRGraph, num_devices: int) -> np.ndarray:
     weighted by remaining capacity ``1 - size/capacity``; ties break
     to the lowest part id.  Pure function of the graph — no RNG.
     """
-    _check_k(graph, num_devices)
+    _check_k(num_devices)
     n = graph.num_vertices
     owner = np.full(n, -1, dtype=np.int64)
     sizes = np.zeros(num_devices, dtype=np.int64)
@@ -270,11 +270,6 @@ def partition_graph(
     )
 
 
-def _check_k(graph: CSRGraph, num_devices: int) -> None:
+def _check_k(num_devices: int) -> None:
     if num_devices < 1:
         raise GraphError(f"num_devices must be >= 1, got {num_devices}")
-    if graph.num_vertices and num_devices > graph.num_vertices:
-        raise GraphError(
-            f"cannot split {graph.num_vertices} vertices across "
-            f"{num_devices} devices"
-        )

@@ -163,7 +163,7 @@ def kernel_speedups(
 
     Each kernel runs on identical deterministic inputs (full-graph
     frontier, rng-seeded keys/colors/priorities); both backends are
-    warmed once (compile/JIT caches) and then timed best-of-
+    warmed once (compile caches) and then timed best-of-
     ``repeats``.  Outputs are asserted equal before timing is trusted —
     a backend that drifts from reference has no business in a speedup
     table.  Returns ``{kernel: {reference_ms, backend_ms, speedup}}``.

@@ -42,8 +42,6 @@ FALLBACKS: Dict[str, str] = {
     # its ladder down to greedy.
     "dist.jpl": "naumov.jpl",
     "dist.speculative": "gpu.speculative",
-    "reference.jp": "cpu.greedy",
-    "reference.luby": "cpu.greedy",
     # CPU ordering variants: the quality orderings cost extra passes;
     # first-fit natural order is the one that cannot meaningfully fail.
     "cpu.dsatur": "cpu.greedy",

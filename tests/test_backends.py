@@ -2,16 +2,16 @@
 
 Three layers of lockdown:
 
-* **Primitive bit-identity** — every primitive of every loadable
-  backend (``cnative``, ``numba`` when importable) against the
-  reference backend on randomized inputs, including the float cases
-  whose accumulation order is part of the contract and the dtype
-  combinations that must *fall back* rather than diverge.
+* **Primitive bit-identity** — every primitive of ``cnative`` (when a
+  C compiler is present) against the reference backend on randomized
+  inputs, including the float cases whose accumulation order is part
+  of the contract and the dtype combinations that must *fall back*
+  rather than diverge.
 * **Selection semantics** — explicit arg > ``REPRO_BACKEND`` >
-  reference; warn-once fallback when an optional backend is
-  unavailable (the numba-absent path is forced with an import blocker
-  so it runs identically whether or not numba is installed); scoping
-  via ``use()``; journal config hashes that keep backends apart.
+  reference; warn-once fallback when ``cnative`` is unavailable (the
+  no-compiler path is forced by stubbing the compiler probe, so it runs
+  identically on machines with and without one); scoping via
+  ``use()``; journal config hashes that keep backends apart.
 * **End-to-end plumbing** — ``run_algorithm`` / ``run_cell`` /
   ``run_grid`` produce bit-identical results on every available
   backend, with only the labels (trace/metrics/journal) differing.
@@ -20,7 +20,6 @@ Three layers of lockdown:
 from __future__ import annotations
 
 import hashlib
-import sys
 import warnings
 
 import numpy as np
@@ -31,24 +30,25 @@ from hypothesis import strategies as st
 from repro import backend as backend_mod
 from repro.backend import (
     DEFAULT_BACKEND,
+    Backend,
     ENV_VAR,
     KNOWN_BACKENDS,
     BackendError,
     available_backends,
     current,
+    cnative,
     resolve,
     use,
 )
-from repro.backend.base import Backend, resolve_op
-from repro.backend.reference import ReferenceBackend
+from repro.backend.reference import ReferenceBackend, resolve_op
 from repro.core.registry import run_algorithm
 
 from _strategies import random_graph
 
 REFERENCE = ReferenceBackend()
 
-#: Optional backends that actually load on this machine (compiler /
-#: numba present).  Reference is excluded: comparing it against itself
+#: Optional backends that actually load on this machine (a C compiler
+#: is present).  Reference is excluded: comparing it against itself
 #: proves nothing.
 OPTIONAL = [n for n in available_backends() if n != "reference"]
 
@@ -63,33 +63,10 @@ def clean_selection(monkeypatch):
 
 
 @pytest.fixture
-def numba_blocked(clean_selection):
-    """Force the numba-absent path regardless of the environment.
-
-    A meta-path blocker makes ``import numba`` raise, and any already
-    imported numba modules are hidden, so the fallback machinery is
-    exercised identically on a bare container and on the CI job that
-    installs numba.
-    """
-
-    class _Blocker:
-        def find_spec(self, fullname, path=None, target=None):
-            if fullname == "numba" or fullname.startswith("numba."):
-                raise ImportError(f"{fullname} import blocked by test")
-            return None
-
-    blocker = _Blocker()
-    hidden = {
-        name: sys.modules.pop(name)
-        for name in list(sys.modules)
-        if name == "numba" or name.startswith("numba.")
-    }
-    sys.meta_path.insert(0, blocker)
-    try:
-        yield
-    finally:
-        sys.meta_path.remove(blocker)
-        sys.modules.update(hidden)
+def no_compiler(clean_selection, monkeypatch):
+    """Force the cnative-unavailable path regardless of the machine:
+    the compiler probe finds nothing, so no cached library is loaded."""
+    monkeypatch.setattr(cnative, "_find_compiler", lambda: None)
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +443,32 @@ class TestSelection:
         assert current() is not be
 
     def test_known_backends_catalog(self):
-        assert set(KNOWN_BACKENDS) == {"reference", "numba", "cnative"}
+        assert KNOWN_BACKENDS == ("reference", "cnative")
+
+    def test_backend_is_the_reference_class(self, clean_selection):
+        """The reference implementation is the base class, and every
+        instance exposes the nine primitives by name."""
+        assert Backend is ReferenceBackend
+        primitives = (
+            "map_elementwise", "frontier_compact", "scatter_reduce",
+            "scatter_hit", "segmented_reduce", "segmented_mex",
+            "active_max", "active_extrema", "conflict_losers",
+        )
+        for name in available_backends():
+            be = resolve(name)
+            assert isinstance(be, Backend)
+            assert all(callable(getattr(be, p)) for p in primitives), name
+
+    def test_numba_is_unknown(self, clean_selection):
+        with pytest.raises(BackendError, match="unknown backend 'numba'"):
+            resolve("numba")
+
+    def test_cli_rejects_numba(self, capsys):
+        from repro.harness.__main__ import main as harness_main
+
+        with pytest.raises(SystemExit) as exc:
+            harness_main(["bench", "--backend", "numba"])
+        assert exc.value.code == 2
 
     def test_available_backends_includes_reference(self, clean_selection):
         avail = available_backends()
@@ -482,37 +484,24 @@ class TestSelection:
         with pytest.raises(BackendError, match="unknown reduction op"):
             resolve_op("median")
 
-    def test_abstract_backend_delegates_everything(self):
-        """A backend overriding nothing is complete via fallback."""
-        be = Backend()
-        out = np.zeros(3, dtype=np.int64)
-        be.scatter_reduce(
-            out,
-            np.array([0, 2], dtype=np.int64),
-            np.array([5, 7], dtype=np.int64),
-            "sum",
-        )
-        assert out.tolist() == [5, 0, 7]
-
-
-class TestNumbaAbsentFallback:
-    """Satellite: REPRO_BACKEND=numba on a machine without numba must
+class TestCNativeAbsentFallback:
+    """REPRO_BACKEND=cnative on a machine without a C compiler must
     warn once and run the reference backend bit-identically."""
 
-    def test_resolve_warns_once_and_falls_back(self, numba_blocked):
-        with pytest.warns(RuntimeWarning, match="numba.*reference"):
-            be = resolve("numba")
+    def test_resolve_warns_once_and_falls_back(self, no_compiler):
+        with pytest.warns(RuntimeWarning, match="cnative.*reference"):
+            be = resolve("cnative")
         assert be.name == "reference"
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # second resolve is silent
-            again = resolve("numba")
+            again = resolve("cnative")
         assert again is be
 
     def test_env_selection_warns_once_and_falls_back(
-        self, numba_blocked, monkeypatch
+        self, no_compiler, monkeypatch
     ):
-        monkeypatch.setenv(ENV_VAR, "numba")
-        with pytest.warns(RuntimeWarning, match="numba"):
+        monkeypatch.setenv(ENV_VAR, "cnative")
+        with pytest.warns(RuntimeWarning, match="cnative"):
             be = current()
         assert be.name == "reference"
         with warnings.catch_warnings():
@@ -520,19 +509,19 @@ class TestNumbaAbsentFallback:
             assert current() is be
 
     def test_run_is_bit_identical_to_reference(
-        self, numba_blocked, monkeypatch
+        self, no_compiler, monkeypatch
     ):
         graph = random_graph(30, 0.2, 5)
         ref = run_algorithm("gunrock.is", graph, rng=7)
-        monkeypatch.setenv(ENV_VAR, "numba")
-        with pytest.warns(RuntimeWarning, match="numba"):
+        monkeypatch.setenv(ENV_VAR, "cnative")
+        with pytest.warns(RuntimeWarning, match="cnative"):
             got = run_algorithm("gunrock.is", graph, rng=7)
         assert np.array_equal(ref.colors, got.colors)
         assert ref.sim_ms == got.sim_ms
         assert ref.iterations == got.iterations
 
-    def test_available_backends_reports_numba_absent(self, numba_blocked):
-        assert "numba" not in available_backends()
+    def test_available_backends_reports_cnative_absent(self, no_compiler):
+        assert "cnative" not in available_backends()
 
 
 # ---------------------------------------------------------------------------
@@ -629,9 +618,9 @@ class TestJournalBackendHash:
 
         hashes = {
             config_hash(backend=b, **self.CONFIG)
-            for b in ("reference", "numba", "cnative")
+            for b in ("reference", "cnative")
         }
-        assert len(hashes) == 3
+        assert len(hashes) == 2
 
     def test_default_matches_ambient_selection(
         self, clean_selection, monkeypatch
@@ -667,7 +656,7 @@ class TestBenchBackend:
 
         assert bench_backend({}) == "reference"
         assert (
-            bench_backend({"environment": {"backend": "numba"}}) == "numba"
+            bench_backend({"environment": {"backend": "cnative"}}) == "cnative"
         )
 
     def test_compare_refuses_cross_backend(self):

@@ -84,7 +84,7 @@ class TestRebalance:
     def test_validity_and_monotonicity_property(self, g):
         if g.num_vertices == 0:
             return
-        r = run_algorithm("reference.luby", g, rng=5)
+        r = run_algorithm("graphblas.mis", g, rng=5)
         balanced = rebalance_coloring(g, r)
         assert is_valid_coloring(g, balanced.colors)
         assert balanced.num_colors <= r.num_colors

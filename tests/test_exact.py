@@ -135,6 +135,6 @@ class TestChromaticNumber:
         chi = chromatic_number(g)
         sl = greedy_coloring(g, ordering="smallest_last").num_colors
         assert chi <= sl
-        from repro.core.luby import luby_coloring
+        from repro.core.gb_coloring import graphblas_mis_coloring
 
-        assert chi <= luby_coloring(g, rng=1).num_colors
+        assert chi <= graphblas_mis_coloring(g, rng=1).num_colors

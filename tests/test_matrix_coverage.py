@@ -1,19 +1,23 @@
 """The full compatibility matrix: every registered coloring
-implementation against every generator family.
+implementation, plus the distributed ids at four devices, against
+every generator family and the degenerate inputs, on every available
+backend.
 
-Small sizes keep the product tractable (~19 algorithms × 9 families);
-each cell asserts a complete, valid coloring.  This is the broadest
-single safety net in the suite — any algorithm/topology interaction
-bug (isolated vertices, uniform degrees, hubs, disconnection) lands
-here first.
+Small sizes keep the product tractable (22 ids × 15 families); each
+cell asserts a complete, valid coloring on each backend.  This is the
+broadest single safety net in the suite — any algorithm/topology
+interaction bug (isolated vertices, uniform degrees, hubs,
+disconnection, empty or complete graphs, more devices than vertices)
+lands here first.
 """
 
 import numpy as np
 import pytest
 
+from repro.backend import available_backends
 from repro.core.registry import algorithm_names, run_algorithm
 from repro.core.validate import is_valid_coloring
-from repro.graph.build import empty_graph, from_edges
+from repro.graph.build import complete_graph, empty_graph, from_edges, star_graph
 from repro.graph.generators import (
     banded,
     barabasi_albert,
@@ -39,35 +43,42 @@ FAMILIES = {
     "disconnected": lambda: from_edges(
         [[0, 1], [1, 2], [5, 6]], num_vertices=9
     ),
+    # Degenerate inputs; the one-vertex and five-vertex graphs leave
+    # devices idle at @d4.
+    "empty": lambda: empty_graph(0),
+    "one_vertex": lambda: empty_graph(1),
+    "isolated5": lambda: empty_graph(5),
+    "star1000": lambda: star_graph(1000),
+    "k60": lambda: complete_graph(60),
 }
 
-# DSATUR and RLF are O(n^2)-ish; exact is exponential — exclude only
-# what cannot run the whole matrix quickly.
-ALGORITHMS = [a for a in algorithm_names()]
+ALGORITHMS = algorithm_names() + ["dist.jpl@d4", "dist.speculative@d4"]
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 @pytest.mark.parametrize("algorithm", sorted(ALGORITHMS))
 def test_algorithm_family_cell(algorithm, family):
     graph = FAMILIES[family]()
-    result = run_algorithm(algorithm, graph, rng=11)
-    assert result.is_complete, (algorithm, family)
-    assert is_valid_coloring(graph, result.colors), (algorithm, family)
-    assert result.num_colors <= graph.max_degree + 1 or algorithm in (
-        # IS-family iteration-indexed colorings can exceed Δ+1.
-        "gunrock.is",
-        "gunrock.is_single",
-        "gunrock.is_atomics",
-        "gunrock.ar",
-        "gunrock.hash",
-        "graphblas.is",
-        "graphblas.jpl",
-        "naumov.jpl",
-        "naumov.cc",
-        "dist.jpl",
-        "reference.luby",
-        "graphblas.mis",
-    ), (algorithm, family, result.num_colors)
+    base = algorithm.split("@")[0]
+    for backend in available_backends():
+        result = run_algorithm(algorithm, graph, rng=11, backend=backend)
+        cell = (algorithm, family, backend)
+        assert result.is_complete, cell
+        assert is_valid_coloring(graph, result.colors), cell
+        assert result.num_colors <= graph.max_degree + 1 or base in (
+            # IS-family iteration-indexed colorings can exceed Δ+1.
+            "gunrock.is",
+            "gunrock.is_single",
+            "gunrock.is_atomics",
+            "gunrock.ar",
+            "gunrock.hash",
+            "graphblas.is",
+            "graphblas.jpl",
+            "naumov.jpl",
+            "naumov.cc",
+            "dist.jpl",
+            "graphblas.mis",
+        ), (cell, result.num_colors)
 
 
 def test_every_algorithm_handles_isolated_vertices():

@@ -218,7 +218,7 @@ def test_single_device_partition_is_trivial(g):
 
 
 def test_invalid_device_counts_raise(petersen):
-    for k in (0, -1, petersen.num_vertices + 1):
+    for k in (0, -1):
         with pytest.raises(GraphError):
             partition_graph(petersen, k)
     with pytest.raises(GraphError):

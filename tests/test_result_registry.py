@@ -81,10 +81,13 @@ class TestRegistry:
             "cpu.greedy_sl",
             "cpu.dsatur",
             "cpu.gm",
-            "reference.luby",
-            "reference.jp",
+            "cpu.rlf",
+            "gpu.speculative",
+            "dist.jpl",
+            "dist.speculative",
         }
-        assert expected <= set(algorithm_names())
+        assert set(algorithm_names()) == expected
+        assert len(ALGORITHMS) == 20
 
     def test_unknown_raises(self):
         with pytest.raises(ColoringError, match="unknown algorithm"):

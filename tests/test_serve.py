@@ -320,6 +320,15 @@ class TestDegradation:
                 assert chain, f"{impl} has no fallback"
                 assert chain[-1] == "cpu.greedy"
 
+    def test_ladder_matches_registry(self):
+        """Every ladder step is a registered id, and every registered id
+        but the floor has a step: no dangling or missing entries."""
+        from repro.core.registry import ALGORITHMS
+        from repro.serve.degrade import FALLBACKS
+
+        assert set(FALLBACKS) | set(FALLBACKS.values()) <= set(ALGORITHMS)
+        assert set(FALLBACKS) | {"cpu.greedy"} == set(ALGORITHMS)
+
     def test_parameterized_dist_id_takes_base_ladder(self):
         assert ladder("dist.jpl@d8") == ladder("dist.jpl")
         assert ladder("dist.speculative@d2") == ladder("dist.speculative")
