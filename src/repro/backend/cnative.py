@@ -19,9 +19,10 @@ requirement.
 
 Bit identity with the reference backend is by construction:
 
-* every routed kernel is exact int64 arithmetic (extrema, mex,
-  conflict arbitration), where any correct evaluation order gives the
-  same bits; or
+* every routed kernel is exact int64 arithmetic (extrema, mex) or a
+  per-row yes/no verdict (selection, conflict detection), where any
+  correct evaluation order — an early exit included — gives the same
+  bits; or
 * it applies updates sequentially in index order (scatter/segmented
   reductions), matching ``ufunc.at`` / ``reduceat`` semantics exactly,
   including float accumulation order and NaN propagation.
@@ -133,20 +134,27 @@ DEF_SEGREDUCE(segreduce_min_f64, double, MIN_F64)
 DEF_SEGREDUCE(segreduce_add_f64, double, ADD_F64)
 DEF_SEGREDUCE(segreduce_mul_f64, double, MUL_F64)
 
-/* Fused IS-selection scan: fold keys[v] of every active v into its
- * neighbors' extrema slots (undirected CSR, so "active neighbors of d"
- * equals "active sources of arcs into d" — the exact scatter the
- * reference performs with repeat/mask/gather temporaries). */
-void active_max_i64(int64_t *out, const int64_t *offsets,
-                    const int64_t *indices, const int64_t *keys,
-                    const uint8_t *active, int64_t n) {
-    for (int64_t v = 0; v < n; ++v) {
-        if (!active[v]) continue;
+/* IS-selection test, one verdict per frontier row: row i's vertex
+ * v = ids[i] wins iff keys[v] exceeds the int64 minimum and the key of
+ * every active neighbor.  Undirected CSR, so v's row lists exactly the
+ * active vertices whose keys the reference pushes into v's max slot;
+ * the scan stops at the first neighbor that decides a loss. */
+void active_max_rows(uint8_t *out, const int64_t *offsets,
+                     const int64_t *indices, const int64_t *keys,
+                     const uint8_t *active, const int64_t *ids,
+                     int64_t nrows) {
+    for (int64_t i = 0; i < nrows; ++i) {
+        int64_t v = ids[i];
         int64_t kv = keys[v];
+        uint8_t win = kv != INT64_MIN;
         for (int64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
             int64_t d = indices[e];
-            if (kv > out[d]) out[d] = kv;
+            if (active[d] && keys[d] >= kv) {
+                win = 0;
+                break;
+            }
         }
+        out[i] = win;
     }
 }
 
@@ -187,27 +195,31 @@ void segmented_mex_i64(int64_t *out, const int64_t *colors,
     }
 }
 
-/* Speculative conflict resolution over the active rows: emit the
- * lower-priority endpoint of every same-positive-color arc of row i
- * (source ids[i], targets indices[starts[i] : starts[i] + counts[i]]),
- * row after row, in arc order. */
-int64_t conflict_losers_i64(int64_t *out, const int64_t *colors,
-                            const int64_t *indices, const int64_t *ids,
-                            const int64_t *starts, const int64_t *counts,
-                            const int64_t *prio, int64_t nrows) {
-    int64_t k = 0;
+/* Speculative conflict detection, one verdict per active row: row i
+ * (source ids[i], targets indices[starts[i] : starts[i] + counts[i]])
+ * loses iff its positive color is shared by a higher-priority target;
+ * the scan stops at the first such target. */
+void conflict_losers_rows(uint8_t *out, const int64_t *colors,
+                          const int64_t *indices, const int64_t *ids,
+                          const int64_t *starts, const int64_t *counts,
+                          const int64_t *prio, int64_t nrows) {
     for (int64_t i = 0; i < nrows; ++i) {
         int64_t s = ids[i];
         int64_t c = colors[s];
-        if (c <= 0) continue;
-        int64_t ps = prio[s];
-        const int64_t *row = indices + starts[i];
-        for (int64_t j = 0; j < counts[i]; ++j) {
-            int64_t d = row[j];
-            if (colors[d] == c) out[k++] = ps < prio[d] ? s : d;
+        uint8_t lost = 0;
+        if (c > 0) {
+            int64_t ps = prio[s];
+            const int64_t *row = indices + starts[i];
+            for (int64_t j = 0; j < counts[i]; ++j) {
+                int64_t d = row[j];
+                if (colors[d] == c && ps < prio[d]) {
+                    lost = 1;
+                    break;
+                }
+            }
         }
+        out[i] = lost;
     }
-    return k;
 }
 """
 
@@ -380,20 +392,21 @@ class CNativeBackend(ReferenceBackend):
         )
         return out
 
-    def active_max(self, offsets, indices, keys, active) -> np.ndarray:
-        n = len(offsets) - 1
+    def active_max(self, offsets, indices, keys, active, ids) -> np.ndarray:
         if (
             offsets.dtype != np.int64
             or indices.dtype != np.int64
             or keys.dtype != np.int64
             or active.dtype != np.bool_
+            or ids.dtype != np.int64
         ):
-            return super().active_max(offsets, indices, keys, active)
-        out = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
-        self._lib.active_max_i64(
-            _ptr(out), _ptr(_contig(offsets)), _ptr(_contig(indices)),
-            _ptr(_contig(keys)), _ptr(_contig(active).view(np.uint8)),
-            ctypes.c_int64(n),
+            return super().active_max(offsets, indices, keys, active, ids)
+        out = np.empty(len(ids), dtype=bool)
+        self._lib.active_max_rows(
+            _ptr(out.view(np.uint8)), _ptr(_contig(offsets)),
+            _ptr(_contig(indices)), _ptr(_contig(keys)),
+            _ptr(_contig(active).view(np.uint8)), _ptr(_contig(ids)),
+            ctypes.c_int64(len(ids)),
         )
         return out
 
@@ -432,14 +445,12 @@ class CNativeBackend(ReferenceBackend):
                 colors, indices, ids, starts, counts, prio
             )
         colors, indices, ids, prio = map(_contig, (colors, indices, ids, prio))
-        out = np.empty(int(counts.sum()), dtype=np.int64)
-        fn = self._lib.conflict_losers_i64
-        fn.restype = ctypes.c_int64
-        k = fn(
-            _ptr(out), _ptr(colors), _ptr(indices), _ptr(ids), _ptr(starts),
-            _ptr(counts), _ptr(prio), ctypes.c_int64(len(ids)),
+        out = np.empty(len(ids), dtype=bool)
+        self._lib.conflict_losers_rows(
+            _ptr(out.view(np.uint8)), _ptr(colors), _ptr(indices), _ptr(ids),
+            _ptr(starts), _ptr(counts), _ptr(prio), ctypes.c_int64(len(ids)),
         )
-        return out[:k]
+        return out
 
 
 def load() -> Tuple[Optional[ReferenceBackend], str]:

@@ -216,14 +216,19 @@ class ReferenceBackend:
         indices: np.ndarray,
         keys: np.ndarray,
         active: np.ndarray,
+        ids: np.ndarray,
     ) -> np.ndarray:
-        """Per-vertex max of ``keys`` over *active* neighbors of an
-        undirected CSR (int64 min where none) — the independent-set
-        selection scan."""
+        """The independent-set selection test, one bool per frontier
+        row: whether ``keys[ids[i]]`` exceeds the key of every *active*
+        neighbor (and the int64 minimum) in an undirected CSR.
+
+        Pushes each active vertex's key into its neighbors' max slots,
+        then compares the rows ``ids`` against them.
+        """
         dst, vals = _active_arcs(offsets, indices, keys, active)
-        out = np.full(len(offsets) - 1, _I64_MIN, dtype=np.int64)
-        np.maximum.at(out, dst, vals)
-        return out
+        nmax = np.full(len(offsets) - 1, _I64_MIN, dtype=np.int64)
+        np.maximum.at(nmax, dst, vals)
+        return keys[ids] > nmax[ids]
 
     def active_extrema(
         self,
@@ -251,14 +256,14 @@ class ReferenceBackend:
         counts: np.ndarray,
         prio: np.ndarray,
     ) -> np.ndarray:
-        """Speculative-coloring conflict resolution over the rows of the
-        active vertices ``ids``.
+        """Speculative-coloring conflict detection, one bool per row of
+        the active vertices ``ids``.
 
         Row ``i`` holds the arcs ``(ids[i], indices[starts[i] + j])``
-        for ``j < counts[i]`` (the :meth:`segmented_mex` row form).  For
-        every arc whose endpoints share a positive color, the result
-        holds the lower-priority endpoint — row after row, in arc order,
-        one entry per clashing arc.  Only these rows are scanned.
+        for ``j < counts[i]`` (the :meth:`segmented_mex` row form).  Its
+        flag is set when ``ids[i]`` has a positive color that some
+        neighbor of the row shares with a higher ``prio``: the vertex
+        loses a clash and reverts.  Only these rows are scanned.
         """
         counts = np.asarray(counts, dtype=np.int64)
         excl = np.cumsum(counts) - counts
@@ -267,6 +272,9 @@ class ReferenceBackend:
         )
         dst = indices[pos]
         own = np.repeat(colors[ids], counts)
-        clash = (own == colors[dst]) & (own > 0)
-        s, d = np.repeat(ids, counts)[clash], dst[clash]
-        return np.where(prio[s] < prio[d], s, d)
+        lose = (own == colors[dst]) & (own > 0)
+        lose &= np.repeat(prio[ids], counts) < prio[dst]
+        out = np.zeros(len(ids), dtype=bool)
+        nonempty = counts > 0
+        out[nonempty] = np.logical_or.reduceat(lose, excl[nonempty])
+        return out

@@ -55,7 +55,6 @@ from ..graph.partition import boundary_flags, partition_owner
 from ..trace import span_phase, tag_iteration
 from .keys import strict_keys
 from .result import ColoringResult
-from .speculative import _lost
 
 __all__ = [
     "distributed_jpl_coloring",
@@ -131,8 +130,7 @@ def distributed_jpl_coloring(
             raise ColoringError("dist.jpl failed to converge")
         iterations += 1
         keys = strict_keys(n, gen)
-        nmax = be.active_max(offsets, graph.indices, keys, active)
-        won = keys[ids] > nmax[ids]
+        won = be.active_max(offsets, graph.indices, keys, active, ids)
         colors[ids[won]] = iterations
         dev = owner[ids]
         degs = degrees[ids]
@@ -218,7 +216,6 @@ def distributed_speculative_coloring(
 
     colors = np.zeros(n, dtype=np.int64)
     offsets = graph.offsets
-    scratch = np.zeros(n, dtype=bool)
     ids = np.arange(n, dtype=np.int64)
     rounds = 0
     while len(ids):
@@ -228,10 +225,9 @@ def distributed_speculative_coloring(
         starts = offsets[ids]
         segs = offsets[ids + 1] - starts
         colors[ids] = be.segmented_mex(colors, graph.indices, starts, segs)
-        losers = be.conflict_losers(colors, graph.indices, ids, starts, segs, prio)
+        lost = be.conflict_losers(colors, graph.indices, ids, starts, segs, prio)
         dev = owner[ids]
         cut = boundary[ids]
-        lost = _lost(ids, losers, scratch)
         n_arcs = _per_device(dev, ndev, segs)
         n_speculate = _per_device(dev[cut], ndev)
         n_resolve = _per_device(dev[lost & cut], ndev)

@@ -76,9 +76,10 @@ def jones_plassmann_coloring(
             raise ColoringError("Jones-Plassmann failed to converge")
         uncolored = colors == 0
         be = _backend.current()
-        # Max key among uncolored neighbors of each vertex.
-        nmax = be.active_max(graph.offsets, graph.indices, key, uncolored)
-        winners = be.frontier_compact(uncolored & (key > nmax))
+        ids = be.frontier_compact(uncolored)
+        # Uncolored vertices whose key beats every uncolored neighbor's.
+        won = be.active_max(graph.offsets, graph.indices, key, uncolored, ids)
+        winners = ids[won]
         colors[winners] = _min_available(graph, colors, winners)
     return ColoringResult(
         colors=colors,

@@ -94,7 +94,8 @@ def naumov_jpl_coloring(
     iterations = 0
     while True:
         active = colors == 0
-        n_active = int(active.sum())
+        ids = np.flatnonzero(active)
+        n_active = len(ids)
         if n_active == 0:
             break
         if iterations > 2 * n + 16:
@@ -105,13 +106,11 @@ def naumov_jpl_coloring(
             keys = strict_keys(n, gen)
             cost.charge_map(n_active, name="rand_kernel")
             # Hardwired load-balanced kernel over the arcs of active vertices.
-            active_arcs = int(graph.degrees[active].sum())
+            active_arcs = int(graph.degrees[ids].sum())
             cost.charge_edge_balanced(active_arcs, name="jpl_kernel", eff=1.85)
-            nmax = _backend.current().active_max(
-                graph.offsets, graph.indices, keys, active
-            )
-            winners = active & (keys > nmax)
-            colors[winners] = iterations
+            be = _backend.current()
+            won = ids[be.active_max(graph.offsets, graph.indices, keys, active, ids)]
+            colors[won] = iterations
             san = cost.sanitizer
             if san is not None:
                 with san.kernel("jpl_kernel") as k:
@@ -120,7 +119,6 @@ def naumov_jpl_coloring(
                     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees)
                     k.read("active", graph.indices, lane=src)
                     k.read("keys", graph.indices, lane=src)
-                    won = np.flatnonzero(winners)
                     k.write("colors", won, lane=won)
             cost.charge_reduce(n_active, name="done_check")
             cost.charge_sync(name="iter_sync")

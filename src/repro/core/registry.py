@@ -17,7 +17,7 @@ from typing import Callable, Dict, List, Optional
 from .. import backend as _backend
 from .. import metrics
 from .._rng import RngLike
-from ..errors import ColoringError
+from ..errors import ColoringError, GraphError
 from ..gpusim.device import DeviceSpec
 from ..graph.csr import CSRGraph
 from .dist import distributed_jpl_coloring, distributed_speculative_coloring
@@ -156,10 +156,22 @@ def run_algorithm(
     active the finished result is mirrored into it
     (:func:`repro.metrics.observe_result`) — strictly after the run, so
     metrics can never perturb it.
+
+    Every implementation reads a vertex's neighbors from its own CSR
+    row, which lists all of them only when the arc set is symmetric, so
+    a directed graph raises :class:`~repro.errors.GraphError` instead of
+    coming back with an invalid coloring.
     """
+    fn = get_algorithm(name)
+    if not graph.undirected:
+        raise GraphError(
+            f"{name} needs an undirected graph: the colorings scan each "
+            "vertex's own CSR row, which misses in-neighbors of a directed "
+            f"graph ({graph!r})"
+        )
     be = _backend.resolve(backend) if backend is not None else _backend.current()
     with _backend.use(be):
-        result = get_algorithm(name)(graph, rng=rng, device=device, **kwargs)
+        result = fn(graph, rng=rng, device=device, **kwargs)
     if result.trace is not None:
         result.trace.algorithm = result.algorithm or name
         result.trace.dataset = result.graph_name or graph.name

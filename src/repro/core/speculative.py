@@ -41,22 +41,6 @@ from .result import ColoringResult
 __all__ = ["speculative_gpu_coloring"]
 
 
-def _lost(ids: np.ndarray, losers: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Which of a round's active vertices ``ids`` lost a clash: one bool
-    per entry of ``ids``.  The losers, ascending and once each, are the
-    next round's active vertices.
-
-    Active vertices enter a round uncolored and first-fit around every
-    colored neighbor, so both endpoints of a clash are active and every
-    loser is in ``ids``.  ``scratch`` is an all-false n-length mask, and
-    is left all-false again.
-    """
-    scratch[losers] = True
-    out = scratch[ids]
-    scratch[losers] = False
-    return out
-
-
 def speculative_gpu_coloring(
     graph: CSRGraph,
     *,
@@ -75,7 +59,6 @@ def speculative_gpu_coloring(
     colors = np.zeros(n, dtype=np.int64)
     offsets = graph.offsets
     be = _backend.current()
-    scratch = np.zeros(n, dtype=bool)
     ids = np.arange(n, dtype=np.int64)
     rounds = 0
     while len(ids):
@@ -94,10 +77,10 @@ def speculative_gpu_coloring(
         cost.charge_sync(name="speculate_sync")
         # Kernel 2: conflict detection over the arcs of active vertices;
         # the lower-priority endpoint of each violation reverts.
-        losers = be.conflict_losers(colors, graph.indices, ids, starts, degs, prio)
+        lost = be.conflict_losers(colors, graph.indices, ids, starts, degs, prio)
         cost.charge_edge_balanced(active_arcs, name="conflict_kernel", eff=1.0)
         cost.charge_sync(name="conflict_sync")
-        ids = ids[_lost(ids, losers, scratch)]
+        ids = ids[lost]
         colors[ids] = 0
     return ColoringResult(
         colors=colors,

@@ -188,7 +188,7 @@ def kernel_speedups(
             colors, graph.indices, starts, degs
         ),
         "active_max": lambda b: b.active_max(
-            graph.offsets, graph.indices, keys, active
+            graph.offsets, graph.indices, keys, active, ids
         ),
         "conflict_losers": lambda b: b.conflict_losers(
             colors, graph.indices, ids, starts, degs, prio

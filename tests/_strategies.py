@@ -50,6 +50,39 @@ def graphs(draw, max_vertices: int = 24, max_edges: int = 80):
     return from_edges(edges, num_vertices=n)
 
 
+@st.composite
+def arbitrary_csr(draw, max_vertices=16, max_degree=6):
+    """Any CSR ``(offsets, indices)``: asymmetric, unsorted rows,
+    duplicate arcs, self loops."""
+    n = draw(st.integers(0, max_vertices))
+    degs = draw(st.lists(st.integers(0, max_degree), min_size=n, max_size=n))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(degs, out=offsets[1:])
+    m = int(offsets[-1])
+    indices = np.asarray(
+        draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m)),
+        dtype=np.int64,
+    )
+    return offsets, indices
+
+
+@st.composite
+def symmetric_csr(draw, max_vertices=16, max_degree=6):
+    """An :func:`arbitrary_csr` made arc-symmetric: every arc gains its
+    reverse and self loops are dropped.  Rows stay unsorted and may
+    repeat a neighbor."""
+    offsets, indices = draw(arbitrary_csr(max_vertices, max_degree))
+    n = len(offsets) - 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    src, dst = np.concatenate([src, indices]), np.concatenate([indices, src])
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    order = np.argsort(src, kind="stable")
+    sym = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=sym[1:])
+    return sym, dst[order]
+
+
 #: The simulated (cost-model-backed) Figure 1 implementations — every
 #: registry id that records kernel counters and, when tracing is on, a
 #: :class:`repro.trace.Trace`.  ``cpu.greedy`` is excluded: closed-form

@@ -42,8 +42,9 @@ from repro.backend import (
 )
 from repro.backend.reference import ReferenceBackend, resolve_op
 from repro.core.registry import run_algorithm
+from repro.graph.csr import arc_positions
 
-from _strategies import random_graph
+from _strategies import random_graph, symmetric_csr
 
 REFERENCE = ReferenceBackend()
 
@@ -95,18 +96,33 @@ def _kernel_inputs(n=48, p=0.22, seed=9):
     }
 
 
-def _rows(offsets, active):
-    """The row form of the active vertices: ``(ids, starts, counts)``."""
-    ids = np.flatnonzero(active)
+def _rows(offsets, ids):
+    """The :meth:`segmented_mex` row form of the vertices ``ids``:
+    ``(ids, starts, counts)``."""
     return ids, offsets[ids], offsets[ids + 1] - offsets[ids]
 
 
-def _conflict_losers_oracle(offsets, indices, colors, prio, active):
-    """The arc-list semantics ``conflict_losers`` had before it took
-    rows: scan all m arcs and keep those with an active source."""
-    src = np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
-    clash = (colors[src] == colors[indices]) & active[src] & (colors[src] > 0)
-    return np.where(prio[src] < prio[indices], src, indices)[clash]
+def _conflict_losers_oracle(offsets, indices, colors, prio, ids):
+    """The arc-list semantics ``conflict_losers`` had before it returned
+    row flags: over the rows ``ids``, the lower-priority endpoint of
+    every arc whose endpoints share a positive color, once per arc."""
+    counts = offsets[ids + 1] - offsets[ids]
+    src = np.repeat(ids, counts)
+    dst = indices[arc_positions(offsets, ids, counts)]
+    clash = (colors[src] == colors[dst]) & (colors[src] > 0)
+    return np.where(prio[src] < prio[dst], src, dst)[clash]
+
+
+def _active_max_oracle(offsets, indices, keys, active):
+    """The n-long max ``active_max`` returned before it answered per
+    row: every active vertex's key scattered into its neighbors' slots
+    (int64 min where no active neighbor)."""
+    n = len(offsets) - 1
+    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets))
+    ok = active[src]
+    nmax = np.full(n, np.iinfo(np.int64).min, dtype=np.int64)
+    np.maximum.at(nmax, indices[ok], keys[src[ok]])
+    return nmax
 
 
 @pytest.mark.parametrize("name", OPTIONAL)
@@ -238,12 +254,11 @@ class TestPrimitiveBitIdentity:
 
     def test_active_max(self, name):
         be, ki = resolve(name), _kernel_inputs()
-        ref = REFERENCE.active_max(
-            ki["offsets"], ki["indices"], ki["keys"], ki["active"]
-        )
-        got = be.active_max(
-            ki["offsets"], ki["indices"], ki["keys"], ki["active"]
-        )
+        args = (ki["offsets"], ki["indices"], ki["keys"], ki["active"])
+        ids = np.flatnonzero(ki["active"])
+        ref = REFERENCE.active_max(*args, ids)
+        got = be.active_max(*args, ids)
+        assert ref.dtype == got.dtype == np.bool_
         assert np.array_equal(ref, got)
 
     def test_active_extrema(self, name):
@@ -259,7 +274,8 @@ class TestPrimitiveBitIdentity:
 
     def test_conflict_losers(self, name):
         be, ki = resolve(name), _kernel_inputs()
-        args = (ki["colors"], ki["indices"]) + _rows(ki["offsets"], ki["active"])
+        ids = np.flatnonzero(ki["active"])
+        args = (ki["colors"], ki["indices"]) + _rows(ki["offsets"], ids)
         ref = REFERENCE.conflict_losers(*args, ki["prio"])
         got = be.conflict_losers(*args, ki["prio"])
         assert np.array_equal(ref, got)
@@ -330,31 +346,117 @@ class TestPrimitiveBitIdentity:
         assert np.array_equal(rmin, gmin)
 
 
+def _as_csr(offsets, indices):
+    return np.asarray(offsets, dtype=np.int64), np.asarray(indices, dtype=np.int64)
+
+
+#: A star: hub 0 with leaves 1, 2, 3 (row 0 lists them in that order).
+STAR = ([0, 3, 4, 5, 6], [1, 2, 3, 0, 0, 0])
+
+
 @pytest.mark.parametrize("name", available_backends())
-class TestConflictLosersRows:
-    """``conflict_losers`` over active rows equals the old full-arc scan
-    restricted to active sources, element for element, on every backend."""
+class TestActiveMaxRows:
+    """``active_max`` answers, per row ``ids[i]``, whether the key beats
+    every active neighbor; the oracle is the old push scatter, compared
+    against ``keys[ids]``, on every backend."""
 
     @staticmethod
-    def _check(name, offsets, indices, colors, prio, active):
-        offsets = np.asarray(offsets, dtype=np.int64)
-        indices = np.asarray(indices, dtype=np.int64)
+    def _check(name, offsets, indices, keys, active, ids):
+        offsets, indices = _as_csr(offsets, indices)
+        keys = np.asarray(keys, dtype=np.int64)
+        active = np.asarray(active, dtype=bool)
+        ids = np.asarray(ids, dtype=np.int64)
+        got = resolve(name).active_max(offsets, indices, keys, active, ids)
+        want = keys[ids] > _active_max_oracle(offsets, indices, keys, active)[ids]
+        assert got.dtype == np.bool_ and got.shape == ids.shape
+        assert got.tolist() == want.tolist()
+        return got.tolist()
+
+    def test_empty_rows(self, name):
+        ki = _kernel_inputs()
+        assert self._check(
+            name, ki["offsets"], ki["indices"], ki["keys"], ki["active"], []
+        ) == []
+
+    def test_isolated_row_wins(self, name):
+        # Vertex 2 has no neighbors; 0-1 is an edge.
+        got = self._check(name, [0, 1, 2, 2], [1, 0], [4, 7, 0], [True] * 3, [0, 1, 2])
+        assert got == [False, True, True]
+
+    def test_int64_min_key_never_wins(self, name):
+        low = np.iinfo(np.int64).min
+        got = self._check(name, [0, 0, 0], [], [low, 0], [True, True], [0, 1])
+        assert got == [False, True]
+
+    def test_inactive_higher_neighbor_is_ignored(self, name):
+        # Leaf 1 outranks the hub but is inactive.
+        got = self._check(name, *STAR, [5, 9, 1, 2], [True, False, True, True], [0, 2, 3])
+        assert got == [True, False, False]
+
+    def test_deciding_arc_first_in_row(self, name):
+        got = self._check(name, *STAR, [5, 9, 1, 2], [True] * 4, [0, 1, 2, 3])
+        assert got == [False, True, False, False]
+
+    def test_deciding_arc_last_in_row(self, name):
+        got = self._check(name, *STAR, [5, 1, 2, 9], [True] * 4, [0, 1, 2, 3])
+        assert got == [False, False, False, True]
+
+    def test_equal_key_neighbor_decides(self, name):
+        # A tie is not a strict win, for either endpoint.
+        got = self._check(name, *STAR, [5, 1, 5, 2], [True] * 4, [0, 2])
+        assert got == [False, False]
+
+    @settings(max_examples=80, deadline=None)
+    @given(csr=symmetric_csr(), data=st.data())
+    def test_property_symmetric_csr(self, name, csr, data):
+        offsets, indices = csr
+        n = len(offsets) - 1
+        low, high = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        keys = data.draw(
+            st.lists(
+                st.one_of(st.integers(-3, 3), st.sampled_from([low, high])),
+                min_size=n,
+                max_size=n,
+            ),
+            label="keys",
+        )
+        active = np.asarray(
+            data.draw(st.lists(st.booleans(), min_size=n, max_size=n), label="active"),
+            dtype=bool,
+        )
+        pick = data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n), label="ids"
+        )
+        ids = np.flatnonzero(active & np.asarray(pick, dtype=bool))
+        self._check(name, offsets, indices, keys, active, ids)
+
+
+@pytest.mark.parametrize("name", available_backends())
+class TestConflictLosersRows:
+    """``conflict_losers`` flags row ``i`` exactly when ``ids[i]`` is
+    among the old arc-list losers of the same rows, on every backend
+    (symmetric CSR, distinct priorities: the colorings' precondition)."""
+
+    @staticmethod
+    def _check(name, offsets, indices, colors, prio, ids):
+        offsets, indices = _as_csr(offsets, indices)
         colors = np.asarray(colors, dtype=np.int64)
         prio = np.asarray(prio, dtype=np.int64)
-        active = np.asarray(active, dtype=bool)
+        ids = np.asarray(ids, dtype=np.int64)
         got = resolve(name).conflict_losers(
-            colors, indices, *_rows(offsets, active), prio
+            colors, indices, *_rows(offsets, ids), prio
         )
-        want = _conflict_losers_oracle(offsets, indices, colors, prio, active)
-        assert got.dtype == np.int64
+        want = np.isin(
+            ids, _conflict_losers_oracle(offsets, indices, colors, prio, ids)
+        )
+        assert got.dtype == np.bool_ and got.shape == ids.shape
         assert got.tolist() == want.tolist()
         return got.tolist()
 
     def test_empty_frontier(self, name):
         ki = _kernel_inputs()
-        none = np.zeros(len(ki["colors"]), dtype=bool)
         assert self._check(
-            name, ki["offsets"], ki["indices"], ki["colors"], ki["prio"], none
+            name, ki["offsets"], ki["indices"], ki["colors"], ki["prio"], []
         ) == []
 
     def test_isolated_rows_and_uncolored_sources(self, name):
@@ -364,41 +466,46 @@ class TestConflictLosersRows:
         indices = [1, 0, 3, 2, 7, 6]
         colors = [2, 2, 2, 2, 1, 1, 0, 0]
         prio = [5, 3, 0, 9, 1, 2, 7, 6]
-        got = self._check(name, offsets, indices, colors, prio, [True] * 8)
-        assert got == [1, 1, 2, 2]
+        got = self._check(name, offsets, indices, colors, prio, range(8))
+        assert got == [False, True, True, False, False, False, False, False]
+
+    def test_color_zero_source_never_loses(self, name):
+        # Vertex 0 is uncolored beside higher-priority vertices that
+        # are uncolored too (0 == 0) or colored -1.
+        got = self._check(name, [0, 2, 3, 4], [1, 2, 0, 0], [0, 0, -1], [0, 1, 2], [0, 1])
+        assert got == [False, False]
+
+    def test_deciding_arc_first_in_row(self, name):
+        got = self._check(name, *STAR, [1, 1, 1, 1], [2, 9, 0, 1], range(4))
+        assert got == [True, False, True, True]
+
+    def test_deciding_arc_last_in_row(self, name):
+        got = self._check(name, *STAR, [1, 2, 3, 1], [2, 0, 1, 9], range(4))
+        assert got == [True, False, False, False]
 
     def test_duplicate_clashes(self, name):
-        # A low-priority hub loses once per clashing arc, duplicate arcs
-        # included, and an inactive source's arcs are skipped.
+        # The hub repeats neighbor 1 (one old loser entry per copy, one
+        # flag here); row 2 is not scanned, yet the hub loses to vertex
+        # 2 from its own row.
         offsets = [0, 4, 5, 6, 8]
         indices = [1, 1, 2, 3, 0, 0, 0, 0]
-        colors = [4, 4, 4, 4]
-        prio = [0, 3, 2, 1]
-        active = [True, True, False, True]
-        got = self._check(name, offsets, indices, colors, prio, active)
-        assert got == [0, 0, 0, 0, 0, 0, 0]
+        got = self._check(name, offsets, indices, [4, 4, 4, 4], [1, 0, 3, 2], [0, 1, 3])
+        assert got == [True, True, False]
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_property_arbitrary_csr(self, name, data):
-        n = data.draw(st.integers(min_value=0, max_value=14), label="n")
-        deg = data.draw(
-            st.lists(st.integers(0, 5), min_size=n, max_size=n), label="deg"
-        )
-        offsets = np.concatenate([[0], np.cumsum(np.asarray(deg, dtype=np.int64))])
-        m = int(offsets[-1])
-        indices = data.draw(
-            st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m),
-            label="indices",
-        )
+    @settings(max_examples=80, deadline=None)
+    @given(csr=symmetric_csr(), data=st.data())
+    def test_property_arbitrary_csr(self, name, csr, data):
+        offsets, indices = csr
+        n = len(offsets) - 1
         colors = data.draw(
             st.lists(st.integers(-1, 3), min_size=n, max_size=n), label="colors"
         )
         prio = data.draw(st.permutations(range(n)), label="prio")
-        active = data.draw(
-            st.lists(st.booleans(), min_size=n, max_size=n), label="active"
+        rows = data.draw(
+            st.lists(st.booleans(), min_size=n, max_size=n), label="rows"
         )
-        self._check(name, offsets, indices, colors, prio, active)
+        ids = np.flatnonzero(np.asarray(rows, dtype=bool))
+        self._check(name, offsets, indices, colors, prio, ids)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.errors import ColoringError
+from repro._rng import ensure_rng
+from repro.errors import ColoringError, GraphError
 from repro.core.registry import (
     ALGORITHMS,
     FIGURE1_ALGORITHMS,
@@ -13,6 +14,7 @@ from repro.core.registry import (
 )
 from repro.core.result import ColoringResult
 from repro.core.validate import is_valid_coloring
+from repro.graph.build import from_arcs
 from repro.graph.generators import grid2d
 
 
@@ -111,3 +113,22 @@ class TestRegistry:
         g = grid2d(6, 6)
         result = run_algorithm("gunrock.hash", g, rng=0, hash_size=8)
         assert "h=8" in result.algorithm
+
+
+def _directed_graph(n=40, m=120, seed=0):
+    gen = ensure_rng(seed)
+    src, dst = gen.integers(0, n, m), gen.integers(0, n, m)
+    return from_arcs(src, dst, n, undirected=False, name="directed")
+
+
+@pytest.mark.parametrize(
+    "name", algorithm_names() + ["dist.jpl@d4", "dist.speculative@d4"]
+)
+def test_directed_graph_raises(name):
+    """The colorings scan each vertex's own CSR row, so on a directed
+    graph they would miss in-neighbors and return an invalid coloring;
+    ``run_algorithm`` refuses the graph instead."""
+    g = _directed_graph()
+    assert not g.undirected
+    with pytest.raises(GraphError, match="needs an undirected graph"):
+        run_algorithm(name, g, rng=0)

@@ -59,7 +59,7 @@ from repro.gpusim import sanitizer as S
 from repro.graphblas import ops as gb_ops
 from repro.gunrock import Frontier, GunrockContext, advance, neighbor_reduce
 
-from _strategies import graphs
+from _strategies import arbitrary_csr, graphs
 
 #: One seeded instance per generator family, all large enough to take
 #: the level-synchronous (vectorized) greedy path.
@@ -617,21 +617,6 @@ def _active_extrema_scatter(offsets, indices, keys, active):
     return nmax, nmin
 
 
-@st.composite
-def arbitrary_csr(draw, max_vertices=16, max_degree=6):
-    """Any CSR: asymmetric, unsorted rows, duplicate arcs, self loops."""
-    n = draw(st.integers(0, max_vertices))
-    degs = draw(st.lists(st.integers(0, max_degree), min_size=n, max_size=n))
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(degs, out=offsets[1:])
-    m = int(offsets[-1])
-    indices = np.asarray(
-        draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=m, max_size=m)),
-        dtype=np.int64,
-    )
-    return offsets, indices
-
-
 class TestFrontierActiveExtrema:
     @given(
         csr=arbitrary_csr(),
@@ -653,8 +638,9 @@ class TestFrontierActiveExtrema:
         got_max, got_min = ref.active_extrema(offsets, indices, keys, active)
         np.testing.assert_array_equal(got_max, want_max)
         np.testing.assert_array_equal(got_min, want_min)
+        ids = np.arange(n, dtype=np.int64)
         np.testing.assert_array_equal(
-            ref.active_max(offsets, indices, keys, active), want_max
+            ref.active_max(offsets, indices, keys, active, ids), keys > want_max
         )
 
 
