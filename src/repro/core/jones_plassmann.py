@@ -21,6 +21,7 @@ from .. import backend as _backend
 from .._rng import RngLike, ensure_rng, random_weights
 from ..errors import ColoringError
 from ..graph.csr import CSRGraph
+from . import keys
 from .result import ColoringResult
 
 __all__ = ["jones_plassmann_coloring"]
@@ -55,7 +56,8 @@ def jones_plassmann_coloring(
 
     Supplying ``priorities = graph.degrees`` yields the largest-degree-
     first variant the paper proposes comparing against (§VI); ties are
-    broken by vertex id.
+    broken by vertex id.  Priorities whose strict keys would overflow
+    int64 raise :class:`~repro.errors.ColoringError`.
     """
     n = graph.num_vertices
     gen = ensure_rng(rng)
@@ -65,8 +67,10 @@ def jones_plassmann_coloring(
         prio = np.asarray(priorities, dtype=np.int64)
         if len(prio) != n:
             raise ColoringError("priorities must have one entry per vertex")
-    # Strict total order: (priority, id) lexicographic, encoded in one key.
-    key = prio * (n + 1) + np.arange(n, dtype=np.int64)
+    # Strict total order: (priority, id) lexicographic, encoded in one
+    # key; a priority too large for the int64 encoding raises.
+    bound = max(abs(int(prio.max())), abs(int(prio.min()))) if n else 0
+    key = keys.tie_break(prio, bound)
 
     colors = np.zeros(n, dtype=np.int64)
     rounds = 0

@@ -49,10 +49,9 @@ def _active_snapshot(graph: CSRGraph, active: np.ndarray):
     The CC sweep evaluates every hash of a sweep against the same
     activity snapshot, so the per-arc membership test and neighbor
     gather structure can be built once and reused by all
-    ``num_hashes`` extrema passes.  Only valid for undirected (arc-
-    symmetric) graphs, where "active neighbors of v" equals "active
-    sources of arcs into v" — which is what the backend's
-    ``active_extrema`` computes by scatter.
+    ``num_hashes`` extrema passes.  The colorings run on undirected
+    (arc-symmetric) graphs only — ``run_algorithm`` refuses directed
+    ones — so a vertex's own CSR row lists all of its neighbors.
 
     Returns ``(sub_indices, sub_offsets)``: the active-neighbor lists
     of all vertices concatenated and their CSR offsets.
@@ -67,9 +66,8 @@ def _active_snapshot(graph: CSRGraph, active: np.ndarray):
 def _snapshot_extrema(keys: np.ndarray, snapshot):
     """Per-vertex max/min of ``keys`` over a compressed snapshot.
 
-    Row reductions over the active-neighbor lists replace the per-arc
-    scatter of ``active_extrema``; the results are element-for-element
-    identical (both reduce the same key multiset per vertex).
+    Row reductions over the active-neighbor lists: each vertex reduces
+    its active neighbors' keys (the identity when it has none).
     """
     sub, sub_offsets = snapshot
     vals = keys[sub]
@@ -180,21 +178,14 @@ def naumov_cc_coloring(
                 active_arcs, name="cc_kernel", eff=1.0 + 0.3 * num_hashes
             )
             # All hashes compare against the sweep-start snapshot, so the
-            # compressed active-neighbor structure is shared across them
-            # (undirected graphs only; directed fall back to the scatter).
-            snapshot = active
-            compressed = _active_snapshot(graph, active) if graph.undirected else None
+            # compressed active-neighbor structure is shared across them.
+            compressed = _active_snapshot(graph, active)
             remaining = active.copy()
             san = cost.sanitizer
             sweep_writes = []
             for k in range(num_hashes):
                 keys = strict_keys(n, gen)
-                if compressed is not None:
-                    nmax, nmin = _snapshot_extrema(keys, compressed)
-                else:
-                    nmax, nmin = _backend.current().active_extrema(
-                        graph.offsets, graph.indices, keys, snapshot
-                    )
+                nmax, nmin = _snapshot_extrema(keys, compressed)
                 # Extremal w.r.t. the snapshot: each (hash, extremum) class
                 # is an independent set, and classes take distinct colors,
                 # so intra-sweep assignments never conflict.  Comparing

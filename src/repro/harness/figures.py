@@ -14,22 +14,22 @@ the same series the paper plots:
 All three degrade gracefully on partial grids: a failed cell renders
 as ``"failed"`` (and is excluded from speedups and geomeans) instead
 of aborting the figure — the fault-tolerant runner guarantees the
-other cells still arrive.  The runner's ``timeout`` / ``retries`` /
-``resume`` knobs pass straight through.
+other cells still arrive.  Each regenerator declares only the
+parameters it uses itself; every other keyword (``seed``,
+``repetitions``, ``jobs``, ``timeout``, ``retries``, ``resume``, …)
+passes straight through to :func:`~repro.harness.runner.run_grid`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence
 
-from .._rng import DEFAULT_SEED
 from ..core.registry import FIGURE1_ALGORITHMS
 from ..errors import HarnessError
-from ..gpusim.device import DeviceSpec
 from ..graph.generators.suitesparse import DEFAULT_SCALE_DIV
 from . import datasets as ds
 from .report import geomean
-from .runner import CellResult, DEFAULT_RETRIES, run_grid, speedup_vs
+from .runner import CellResult, run_grid, speedup_vs
 
 __all__ = [
     "fig1_series",
@@ -51,16 +51,7 @@ def fig1_series(
     algorithms: Optional[Sequence[str]] = None,
     datasets: Optional[Sequence[str]] = None,
     scale_div: int = DEFAULT_SCALE_DIV,
-    seed: int = DEFAULT_SEED,
-    repetitions: int = 3,
-    device: Optional[DeviceSpec] = None,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-    resume: bool = False,
-    journal: Optional[bool] = None,
-    trace: bool = False,
-    backend=None,
+    **grid,
 ) -> Dict:
     """Figure 1: run the full real-world grid.
 
@@ -75,21 +66,7 @@ def fig1_series(
     """
     algos = list(algorithms or FIGURE1_ALGORITHMS)
     names = list(datasets or ds.REAL_WORLD_DATASETS)
-    cells = run_grid(
-        names,
-        algos,
-        scale_div=scale_div,
-        repetitions=repetitions,
-        seed=seed,
-        device=device,
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        resume=resume,
-        journal=journal,
-        trace=trace,
-        backend=backend,
-    )
+    cells = run_grid(names, algos, scale_div=scale_div, **grid)
     try:
         per_algo = speedup_vs(cells, "naumov.jpl")
     except HarnessError:
@@ -123,16 +100,7 @@ def fig2_series(
     *,
     datasets: Optional[Sequence[str]] = None,
     scale_div: int = DEFAULT_SCALE_DIV,
-    seed: int = DEFAULT_SEED,
-    repetitions: int = 3,
-    device: Optional[DeviceSpec] = None,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-    resume: bool = False,
-    journal: Optional[bool] = None,
-    trace: bool = False,
-    backend=None,
+    **grid,
 ) -> Dict:
     """Figure 2: time-quality scatter points.
 
@@ -148,21 +116,7 @@ def fig2_series(
         ("gunrock", FIG2_GUNROCK_PAIR),
         ("graphblast", FIG2_GRAPHBLAST_PAIR),
     ):
-        cells = run_grid(
-            names,
-            pair,
-            scale_div=scale_div,
-            repetitions=repetitions,
-            seed=seed,
-            device=device,
-            jobs=jobs,
-            timeout=timeout,
-            retries=retries,
-            resume=resume,
-            journal=journal,
-            trace=trace,
-            backend=backend,
-        )
+        cells = run_grid(names, pair, scale_div=scale_div, **grid)
         out["cells"].extend(cells)
         out[key] = [
             {
@@ -179,17 +133,9 @@ def fig2_series(
 def fig3_series(
     *,
     scales: Optional[Sequence[int]] = None,
-    seed: int = DEFAULT_SEED,
     repetitions: int = 2,
-    device: Optional[DeviceSpec] = None,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-    resume: bool = False,
-    journal: Optional[bool] = None,
-    trace: bool = False,
-    backend=None,
     cells_out: Optional[List[CellResult]] = None,
+    **grid,
 ) -> List[Dict]:
     """Figure 3: RGG scaling sweep.
 
@@ -207,15 +153,7 @@ def fig3_series(
         ("gunrock.is", "graphblas.is"),
         scale_div=1,
         repetitions=repetitions,
-        seed=seed,
-        device=device,
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        resume=resume,
-        journal=journal,
-        trace=trace,
-        backend=backend,
+        **grid,
     )
     if cells_out is not None:
         cells_out.extend(cells)

@@ -60,7 +60,7 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from ..errors import (
 )
 from ..gpusim.device import DeviceSpec
 from ..graph.csr import CSRGraph
-from ..trace import Trace, activate as trace_activate, trace_enabled
+from ..trace import Trace, activate as trace_activate
 from . import datasets as ds
 from . import faults
 from .journal import GridJournal
@@ -146,47 +146,36 @@ class CellResult:
 
 @dataclass(frozen=True)
 class _RepResult:
-    """Outcome of a single repetition (the parallel work unit)."""
+    """Outcome of a single repetition (the parallel work unit).  The
+    numeric defaults describe a repetition that produced nothing."""
 
-    num_colors: int
-    sim_ms: float
-    iterations: int
-    wall_s: float
-    validate_s: float
-    valid: bool
+    num_colors: int = 0
+    sim_ms: float = float("nan")
+    iterations: int = 0
+    wall_s: float = 0.0
+    validate_s: float = 0.0
+    valid: bool = False
     status: str = "ok"  # "ok" | "failed" | "timeout"
     error: Optional[str] = None
     transient: bool = False  # True when the failure is retryable
     trace: Optional[Trace] = None  # plain data; ships back from pool workers
 
 
-def _failed_rep(exc: BaseException) -> _RepResult:
-    """Capture an exception as a failed repetition record."""
-    return _RepResult(
-        num_colors=0,
-        sim_ms=float("nan"),
-        iterations=0,
-        wall_s=0.0,
-        validate_s=0.0,
-        valid=False,
-        status="timeout" if isinstance(exc, RepetitionTimeout) else "failed",
-        error=f"{type(exc).__name__}: {exc}",
-        transient=isinstance(exc, (RepetitionTimeout, TransientFaultError)),
-    )
+def _failed_rep(failure: Union[BaseException, str]) -> _RepResult:
+    """Capture a failure as a failed repetition record.
 
-
-def _crashed_rep(detail: str) -> _RepResult:
-    """A repetition lost to a dead worker (no exception object exists)."""
+    ``failure`` is the exception the repetition raised, or — for a
+    repetition lost with its worker, where no exception object exists —
+    a description of the crash, which is always retryable."""
+    if isinstance(failure, str):
+        return _RepResult(
+            status="failed", error=f"WorkerCrash: {failure}", transient=True
+        )
+    timed_out = isinstance(failure, RepetitionTimeout)
     return _RepResult(
-        num_colors=0,
-        sim_ms=float("nan"),
-        iterations=0,
-        wall_s=0.0,
-        validate_s=0.0,
-        valid=False,
-        status="failed",
-        error=f"WorkerCrash: {detail}",
-        transient=True,
+        status="timeout" if timed_out else "failed",
+        error=f"{type(failure).__name__}: {failure}",
+        transient=timed_out or isinstance(failure, TransientFaultError),
     )
 
 
@@ -275,38 +264,6 @@ def _run_rep(
         valid=valid,
         trace=result.trace,
     )
-
-
-def _guarded_rep(
-    graph: CSRGraph,
-    algorithm: str,
-    rep_seed: int,
-    *,
-    dataset_name: str,
-    device: Optional[DeviceSpec],
-    strict: bool,
-    rep: int,
-    timeout: Optional[float],
-    trace: bool = False,
-    backend=None,
-) -> _RepResult:
-    """One repetition with error isolation: never raises (except
-    ``KeyboardInterrupt``/``SystemExit``, which must stay fatal)."""
-    try:
-        with _rep_timeout(timeout):
-            return _run_rep(
-                graph,
-                algorithm,
-                rep_seed,
-                dataset_name=dataset_name,
-                device=device,
-                strict=strict,
-                rep=rep,
-                trace=trace,
-                backend=backend,
-            )
-    except Exception as exc:
-        return _failed_rep(exc)
 
 
 def _aggregate(
@@ -407,6 +364,52 @@ class _Task:
     algorithm: str
     rep: int
     attempts: int = 0  # transient-failure retries consumed
+
+
+@dataclass(frozen=True)
+class _GridSpec:
+    """The inputs fixed for a whole grid — every repetition's inputs
+    except its :class:`_Task`.  Plain picklable data: the pool ships it
+    to a worker with every task."""
+
+    scale_div: int
+    seed: int
+    device: Optional[DeviceSpec]
+    timeout: Optional[float]
+    trace: bool
+    backend: str  # the effective backend, after any fallback
+
+
+def _execute(task: _Task, spec: _GridSpec) -> _RepResult:
+    """One (dataset, algorithm, repetition) execution — the sequential
+    runner's step and the pool's work unit alike.
+
+    Loads the graph by name through :func:`datasets.load` (in a pool
+    worker usually a free hit on the memo inherited from the pre-warmed
+    parent at fork time, otherwise one read of the warm disk cache),
+    runs the repetition under its SIGALRM timeout with strict
+    validation, and returns every failure — a failed load included —
+    as data.  It never raises (except ``KeyboardInterrupt`` /
+    ``SystemExit``, which must stay fatal), so a pool worker only dies
+    when a fault kills it.  A requested trace (plain picklable data)
+    rides back on the repetition record.
+    """
+    try:
+        graph = ds.load(task.dataset, scale_div=spec.scale_div, seed=spec.seed)
+        with _rep_timeout(spec.timeout):
+            return _run_rep(  # repro-lint: disable=RPL104 — the env lookup is the dataset cache location; graph content is seed-deterministic
+                graph,
+                task.algorithm,
+                spec.seed + _REP_SEED_STRIDE * task.rep,
+                dataset_name=task.dataset,
+                device=spec.device,
+                strict=True,
+                rep=task.rep,
+                trace=spec.trace,
+                backend=spec.backend,
+            )
+    except Exception as exc:
+        return _failed_rep(exc)
 
 
 def _backoff(attempt: int) -> float:
@@ -586,35 +589,21 @@ def run_grid(
             RuntimeWarning,
             stacklevel=2,
         )
+    spec = _GridSpec(
+        scale_div=scale_div,
+        seed=seed,
+        device=device,
+        timeout=timeout,
+        trace=trace,
+        backend=backend_name,
+    )
     try:
         if jobs > 1 and ctx is not None and todo:
             _run_tasks_pool(
-                todo,
-                results,
-                jrnl,
-                scale_div=scale_div,
-                seed=seed,
-                device=device,
-                jobs=jobs,
-                ctx=ctx,
-                timeout=timeout,
-                retries=retries,
-                trace=trace,
-                backend=backend_name,
+                todo, results, jrnl, spec, retries=retries, jobs=jobs, ctx=ctx
             )
         else:
-            _run_tasks_sequential(
-                todo,
-                results,
-                jrnl,
-                scale_div=scale_div,
-                seed=seed,
-                device=device,
-                timeout=timeout,
-                retries=retries,
-                trace=trace,
-                backend=backend_name,
-            )
+            _run_tasks_sequential(todo, results, jrnl, spec, retries=retries)  # repro-lint: disable=RPL104 — the spec carries the env-resolved backend name; backends are bit-identical by contract
     finally:
         if jrnl is not None:
             jrnl.close()
@@ -716,157 +705,91 @@ def _run_tasks_sequential(
     todo: List[_Task],
     results: Dict[int, _RepResult],
     jrnl: Optional[GridJournal],
+    spec: _GridSpec,
     *,
-    scale_div: int,
-    seed: int,
-    device: Optional[DeviceSpec],
-    timeout: Optional[float],
     retries: int,
-    trace: bool = False,
-    backend: Optional[str] = None,
 ) -> None:
     pending = deque(todo)
     while pending:
         task = pending.popleft()
-        try:
-            graph = ds.load(task.dataset, scale_div=scale_div, seed=seed)
-        except Exception as exc:
-            results[task.index] = _failed_rep(exc)
-            continue
-        rep = _guarded_rep(  # repro-lint: disable=RPL104 — the env lookup is the dataset cache location; graph content is seed-deterministic
-            graph,
-            task.algorithm,
-            seed + _REP_SEED_STRIDE * task.rep,
-            dataset_name=task.dataset,
-            device=device,
-            strict=True,
-            rep=task.rep,
-            timeout=timeout,
-            trace=trace,
-            backend=backend,
-        )
+        rep = _execute(task, spec)
         _settle(task, rep, results, jrnl, pending.appendleft, retries)  # repl: justified — journal payload carries measured wall time beside sim numbers by design
 
 
 # -- process-pool plumbing ---------------------------------------------------
 
-
-def _worker_rep(
-    task: Tuple[
-        str,
-        str,
-        int,
-        int,
-        int,
-        Optional[DeviceSpec],
-        bool,
-        Optional[float],
-        bool,
-        Optional[str],
-    ]
-) -> _RepResult:
-    """Pool task: one (dataset, algorithm, repetition) execution.
-
-    The worker loads the graph by name through :func:`datasets.load`
-    (usually a free hit on the memo inherited from the pre-warmed
-    parent at fork time, otherwise one read of the warm disk cache),
-    self-enforces the repetition timeout via SIGALRM, and returns
-    failures as data — a worker only dies when a fault kills it.  When
-    the task requests tracing, the captured trace (plain picklable
-    data) rides back on the repetition record.
-    """
-    (
-        name,
-        algorithm,
-        scale_div,
-        seed,
-        rep,
-        device,
-        strict,
-        timeout,
-        trace,
-        backend,
-    ) = task
-    try:
-        graph = ds.load(name, scale_div=scale_div, seed=seed)
-    except Exception as exc:
-        return _failed_rep(exc)
-    return _guarded_rep(  # repro-lint: disable=RPL104 — the env lookup is the dataset cache location; graph content is seed-deterministic
-        graph,
-        algorithm,
-        seed + _REP_SEED_STRIDE * rep,
-        dataset_name=name,
-        device=device,
-        strict=strict,
-        rep=rep,
-        timeout=timeout,
-        trace=trace,
-        backend=backend,
-    )
-
-
-def _reseed_pool(
-    pool: ProcessPoolExecutor, jobs: int, ctx
-) -> ProcessPoolExecutor:
-    """Tear down a broken/hung pool and start a fresh one.
-
-    Outstanding futures are cancelled and live workers terminated; the
-    caller resubmits whatever was in flight (same task tuples → same
-    seeds → bit-identical results)."""
-    metrics.inc("repro_pool_reseeds_total")
-    runlog.emit("pool_reseed", jobs=jobs)
-    for proc in list(getattr(pool, "_processes", {}).values()):
-        try:
-            proc.terminate()
-        except Exception:  # repro-lint: disable=RPL006 — worker already dead; nothing to report
-            pass
-    try:
-        pool.shutdown(wait=False, cancel_futures=True)
-    except Exception:  # repro-lint: disable=RPL006 — best-effort teardown of a broken pool
-        pass
-    return ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+#: Why a repetition in flight on a broken pool was lost.
+_POOL_BROKE = "repetition was in flight when the worker pool broke"
 
 
 def _run_tasks_pool(
     todo: List[_Task],
     results: Dict[int, _RepResult],
     jrnl: Optional[GridJournal],
+    spec: _GridSpec,
     *,
-    scale_div: int,
-    seed: int,
-    device: Optional[DeviceSpec],
+    retries: int,
     jobs: int,
     ctx,
-    timeout: Optional[float],
-    retries: int,
-    trace: bool = False,
-    backend: Optional[str] = None,
 ) -> None:
+    queue: deque = deque()
+
+    def settle(task: _Task, rep: _RepResult) -> None:
+        _settle(task, rep, results, jrnl, queue.appendleft, retries)
+
     # Warm every distinct dataset in the parent first: this fills the
     # disk cache once per graph (no worker ever generates, and
     # concurrent workers never race to fill the same key) and — since
     # workers are forked below — every worker inherits the loaded
     # graphs copy-on-write, making its ds.load() calls free.  A
-    # dataset whose generator fails marks its repetitions failed here;
-    # nothing is submitted for it.
+    # dataset whose generator fails settles its repetitions as failed
+    # here; nothing is submitted for it.
     load_errors: Dict[str, _RepResult] = {}
     for name in dict.fromkeys(t.dataset for t in todo):
         try:
-            ds.load(name, scale_div=scale_div, seed=seed)
+            ds.load(name, scale_div=spec.scale_div, seed=spec.seed)
         except Exception as exc:
             load_errors[name] = _failed_rep(exc)
-    queue: deque = deque()
     for t in todo:
         if t.dataset in load_errors:
-            results[t.index] = load_errors[t.dataset]
+            settle(t, load_errors[t.dataset])
         else:
             queue.append(t)
     # Parent-side deadline: generous (timeout + slack) because the
     # worker's own SIGALRM fires first in every case except a worker
     # hung inside native code or lost before it could arm the timer.
-    grace = (timeout * 1.5 + 5.0) if timeout else None
+    grace = (spec.timeout * 1.5 + 5.0) if spec.timeout else None
     pool = ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
     inflight: Dict = {}  # future -> (task, submitted_at)
+
+    def salvage(verdict) -> ProcessPoolExecutor:
+        """Tear down the broken or hung pool and start a fresh one.
+
+        Live workers are terminated and outstanding futures cancelled;
+        then every in-flight task gets ``verdict(future)``: a failed
+        repetition to settle (charged an attempt), or ``None`` to
+        resubmit it free of charge (same task → same seed →
+        bit-identical result)."""
+        metrics.inc("repro_pool_reseeds_total")
+        runlog.emit("pool_reseed", jobs=jobs)
+        for proc in list(getattr(pool, "_processes", {}).values()):
+            try:
+                proc.terminate()
+            except Exception:  # repro-lint: disable=RPL006 — worker already dead; nothing to report
+                pass
+        try:
+            pool.shutdown(wait=False, cancel_futures=True)
+        except Exception:  # repro-lint: disable=RPL006 — best-effort teardown of a broken pool
+            pass
+        for f in list(inflight):
+            task, _started = inflight.pop(f)
+            rep = verdict(f)
+            if rep is None:
+                queue.appendleft(task)
+            else:
+                settle(task, rep)
+        return ProcessPoolExecutor(max_workers=jobs, mp_context=ctx)
+
     try:
         while queue or inflight:
             # Sliding window of at most `jobs` in-flight repetitions,
@@ -875,40 +798,13 @@ def _run_tasks_pool(
             while queue and len(inflight) < jobs:
                 task = queue.popleft()
                 try:
-                    fut = pool.submit(
-                        _worker_rep,
-                        (
-                            task.dataset,
-                            task.algorithm,
-                            scale_div,
-                            seed,
-                            task.rep,
-                            device,
-                            True,
-                            timeout,
-                            trace,
-                            backend,
-                        ),
-                    )
+                    fut = pool.submit(_execute, task, spec)
                 except BrokenProcessPool:
                     # A worker died while we were filling the window:
                     # the task never ran (resubmit free of charge), the
                     # in-flight ones are lost (charged an attempt).
                     queue.appendleft(task)
-                    pool = _reseed_pool(pool, jobs, ctx)
-                    for f in list(inflight):
-                        lost, _started = inflight.pop(f)
-                        _settle(
-                            lost,
-                            _crashed_rep(
-                                "repetition was in flight when the "
-                                "worker pool broke"
-                            ),
-                            results,
-                            jrnl,
-                            queue.appendleft,
-                            retries,
-                        )
+                    pool = salvage(lambda f: _failed_rep(_POOL_BROKE))
                     continue
                 inflight[fut] = (task, time.monotonic())
             ready, _ = wait(
@@ -925,33 +821,23 @@ def _run_tasks_pool(
                     for f, (t, started) in inflight.items()
                     if now - started > grace
                 }
-                if not expired:
-                    continue
-                # A worker is hung past the backstop deadline and
-                # SIGALRM did not fire (native-code hang): the only
-                # recovery is to kill the pool.  Expired tasks are
-                # charged a timeout; innocent in-flight tasks are
-                # resubmitted free of charge.
-                pool = _reseed_pool(pool, jobs, ctx)
-                for f in list(inflight):
-                    task, _started = inflight.pop(f)
-                    if f in expired:
-                        _settle(
-                            task,
-                            _failed_rep(
-                                RepetitionTimeout(
-                                    "repetition exceeded its "
-                                    f"{timeout:g}s budget and the worker "
-                                    "had to be killed"
-                                )
-                            ),
-                            results,
-                            jrnl,
-                            queue.appendleft,
-                            retries,
+                if expired:
+                    # A worker is hung past the backstop deadline and
+                    # SIGALRM did not fire (native-code hang): the only
+                    # recovery is to kill the pool.  Expired tasks are
+                    # charged a timeout; innocent in-flight tasks are
+                    # resubmitted free of charge.
+                    pool = salvage(
+                        lambda f: _failed_rep(
+                            RepetitionTimeout(
+                                "repetition exceeded its "
+                                f"{spec.timeout:g}s budget and the worker "
+                                "had to be killed"
+                            )
                         )
-                    else:
-                        queue.appendleft(task)
+                        if f in expired
+                        else None
+                    )
                 continue
             broken = False
             for f in ready:
@@ -960,47 +846,17 @@ def _run_tasks_pool(
                     rep = f.result()
                 except BrokenProcessPool:
                     broken = True
-                    _settle(  # repro-lint: disable=RPL100 — journal payload carries measured wall time beside sim numbers by design
-                        task,
-                        _crashed_rep(
-                            "worker process died before returning "
-                            f"{task.dataset}:{task.algorithm}:rep{task.rep}"
-                        ),
-                        results,
-                        jrnl,
-                        queue.appendleft,
-                        retries,
+                    rep = _failed_rep(
+                        "worker process died before returning "
+                        f"{task.dataset}:{task.algorithm}:rep{task.rep}"
                     )
                 except Exception as exc:
-                    _settle(
-                        task,
-                        _failed_rep(exc),
-                        results,
-                        jrnl,
-                        queue.appendleft,
-                        retries,
-                    )
-                else:
-                    _settle(
-                        task, rep, results, jrnl, queue.appendleft, retries
-                    )
+                    rep = _failed_rep(exc)
+                settle(task, rep)
             if broken:
                 # Every other in-flight future of a broken pool is
                 # doomed too; salvage the tasks and reseed once.
-                pool = _reseed_pool(pool, jobs, ctx)
-                for f in list(inflight):
-                    task, _started = inflight.pop(f)
-                    _settle(
-                        task,
-                        _crashed_rep(
-                            "repetition was in flight when the worker "
-                            "pool broke"
-                        ),
-                        results,
-                        jrnl,
-                        queue.appendleft,
-                        retries,
-                    )
+                pool = salvage(lambda f: _failed_rep(_POOL_BROKE))
     finally:
         pool.shutdown(wait=False, cancel_futures=True)
 

@@ -14,11 +14,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional
 
 from .._rng import DEFAULT_SEED
-from ..gpusim.device import DeviceSpec
 from ..graph.generators.suitesparse import DEFAULT_SCALE_DIV
 from ..graph.stats import graph_stats
 from . import datasets as ds
-from .runner import CellResult, DEFAULT_RETRIES, run_grid
+from .runner import CellResult, run_grid
 
 __all__ = ["table1_rows", "table2_rows", "TABLE2_LADDER", "PAPER_TABLE2_MS"]
 
@@ -102,17 +101,8 @@ PAPER_TABLE2_MS = {
 def table2_rows(
     *,
     scale_div: int = DEFAULT_SCALE_DIV,
-    seed: int = DEFAULT_SEED,
-    repetitions: int = 3,
-    device: Optional[DeviceSpec] = None,
-    jobs: int = 1,
-    timeout: Optional[float] = None,
-    retries: int = DEFAULT_RETRIES,
-    resume: bool = False,
-    journal: Optional[bool] = None,
-    trace: bool = False,
-    backend=None,
     cells_out: Optional[List[CellResult]] = None,
+    **grid,
 ) -> List[Dict]:
     """Regenerate Table II on the G3_circuit analogue.
 
@@ -121,22 +111,15 @@ def table2_rows(
     failed rung renders ``"failed"`` for its measurement and "—" for
     the step speedups on either side of it; the other rungs still
     print.  Pass ``cells_out`` to receive the raw cells (the CLI uses
-    it to detect partial failure).
+    it to detect partial failure).  Every other keyword (``seed``,
+    ``repetitions``, ``jobs``, ``timeout``, …) passes straight through
+    to :func:`~repro.harness.runner.run_grid`.
     """
     cells = run_grid(
         ["G3_circuit"],
         [algo for _, algo in TABLE2_LADDER],
         scale_div=scale_div,
-        repetitions=repetitions,
-        seed=seed,
-        device=device,
-        jobs=jobs,
-        timeout=timeout,
-        retries=retries,
-        resume=resume,
-        journal=journal,
-        trace=trace,
-        backend=backend,
+        **grid,
     )
     if cells_out is not None:
         cells_out.extend(cells)

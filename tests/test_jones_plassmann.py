@@ -82,6 +82,25 @@ class TestJonesPlassmann:
         with pytest.raises(ColoringError):
             jones_plassmann_coloring(triangle, priorities=np.array([1]))
 
+    def test_overflowing_priorities_rejected(self):
+        """``2**62 * (n + 1)`` wraps int64 on a 3-vertex path: the strict
+        key construction must refuse it instead of wrapping."""
+        g = from_edges([(0, 1), (1, 2)], 3)
+        prio = np.array([2**62, 2**62, 1], dtype=np.int64)
+        with pytest.raises(ColoringError, match="overflow"):
+            jones_plassmann_coloring(g, priorities=prio)
+        with pytest.raises(ColoringError, match="overflow"):
+            jones_plassmann_coloring(g, priorities=-prio)
+
+    def test_largest_safe_priority_accepted(self):
+        g = from_edges([(0, 1), (1, 2)], 3)
+        top = (2**63 - 1 - 3) // 4  # max_weight * (n + 1) + n <= 2**63 - 1
+        result = jones_plassmann_coloring(
+            g, priorities=np.array([top, 0, top - 1], dtype=np.int64)
+        )
+        assert is_valid_coloring(g, result.colors)
+        assert result.colors.tolist() == [1, 2, 1]
+
     def test_deterministic(self, petersen):
         a = jones_plassmann_coloring(petersen, rng=4)
         b = jones_plassmann_coloring(petersen, rng=4)
