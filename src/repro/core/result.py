@@ -64,8 +64,16 @@ class ColoringResult:
     @property
     def num_colors(self) -> int:
         """Number of distinct colors used (the paper's quality metric)."""
-        colored = self.colors[self.colors > 0]
-        return int(len(np.unique(colored)))
+        colors = self.colors
+        top = int(colors.max(initial=0))
+        if top <= 0:
+            return 0
+        dense = colors.dtype.kind == "i" and top <= 2 * colors.size
+        if dense and colors.min() >= 0:
+            # Dense ids (the usual 1..k): count the ids present.
+            return int(np.count_nonzero(np.bincount(colors)[1:]))
+        colored = np.sort(colors[colors > 0])
+        return int(1 + np.count_nonzero(colored[1:] != colored[:-1]))
 
     @property
     def max_color(self) -> int:

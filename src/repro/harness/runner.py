@@ -59,7 +59,7 @@ import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -159,6 +159,8 @@ class _RepResult:
     error: Optional[str] = None
     transient: bool = False  # True when the failure is retryable
     trace: Optional[Trace] = None  # plain data; ships back from pool workers
+    num_vertices: int = 0  # the graph's size, once it has loaded
+    num_edges: int = 0
 
 
 def _failed_rep(failure: Union[BaseException, str]) -> _RepResult:
@@ -263,26 +265,27 @@ def _run_rep(
         validate_s=validate,
         valid=valid,
         trace=result.trace,
+        num_vertices=graph.num_vertices,
+        num_edges=graph.num_edges,
     )
 
 
 def _aggregate(
-    reps: Sequence[_RepResult],
-    *,
-    dataset: str,
-    algorithm: str,
-    graph: Optional[CSRGraph],
+    reps: Sequence[_RepResult], *, dataset: str, algorithm: str
 ) -> CellResult:
+    """One cell from its repetitions.  The graph's size comes from the
+    first repetition that loaded it (0 × 0 when none could)."""
     ok = [r for r in reps if r.status == "ok"]
     failed = len(reps) - len(ok)
     traces: Optional[Tuple[Optional[Trace], ...]] = None
     if any(r.trace is not None for r in reps):
         traces = tuple(r.trace for r in reps)
+    sized = next((r for r in reps if r.num_vertices), _RepResult())
     return CellResult(
-        dataset=dataset or (graph.name if graph is not None else ""),
+        dataset=dataset,
         algorithm=algorithm,
-        num_vertices=graph.num_vertices if graph is not None else 0,
-        num_edges=graph.num_edges if graph is not None else 0,
+        num_vertices=sized.num_vertices,
+        num_edges=sized.num_edges,
         colors=float(np.mean([r.num_colors for r in ok])) if ok else float("nan"),
         sim_ms=float(np.mean([r.sim_ms for r in ok])) if ok else float("nan"),
         iterations=(
@@ -348,7 +351,7 @@ def run_cell(
         for rep in range(repetitions)
     ]
     return _aggregate(
-        reps, dataset=dataset_name, algorithm=algorithm, graph=graph
+        reps, dataset=dataset_name or graph.name, algorithm=algorithm
     )
 
 
@@ -392,10 +395,14 @@ def _execute(task: _Task, spec: _GridSpec) -> _RepResult:
     as data.  It never raises (except ``KeyboardInterrupt`` /
     ``SystemExit``, which must stay fatal), so a pool worker only dies
     when a fault kills it.  A requested trace (plain picklable data)
-    rides back on the repetition record.
+    rides back on the repetition record, and so does the graph's size
+    whenever the graph loaded.
     """
     try:
         graph = ds.load(task.dataset, scale_div=spec.scale_div, seed=spec.seed)
+    except Exception as exc:
+        return _failed_rep(exc)
+    try:
         with _rep_timeout(spec.timeout):
             return _run_rep(  # repro-lint: disable=RPL104 — the env lookup is the dataset cache location; graph content is seed-deterministic
                 graph,
@@ -409,7 +416,11 @@ def _execute(task: _Task, spec: _GridSpec) -> _RepResult:
                 backend=spec.backend,
             )
     except Exception as exc:
-        return _failed_rep(exc)
+        return replace(
+            _failed_rep(exc),
+            num_vertices=graph.num_vertices,
+            num_edges=graph.num_edges,
+        )
 
 
 def _backoff(attempt: int) -> float:
@@ -436,6 +447,8 @@ def _rep_payload(r: _RepResult) -> Dict:
         "wall_s": float(r.wall_s),
         "validate_s": float(r.validate_s),
         "valid": bool(r.valid),
+        "num_vertices": int(r.num_vertices),
+        "num_edges": int(r.num_edges),
     }
 
 
@@ -448,6 +461,8 @@ def _rep_from_record(rec: Dict) -> _RepResult:
         wall_s=float(rec.get("wall_s", 0.0)),
         validate_s=float(rec.get("validate_s", 0.0)),
         valid=bool(rec.get("valid", True)),
+        num_vertices=int(rec.get("num_vertices", 0)),
+        num_edges=int(rec.get("num_edges", 0)),
     )
 
 
@@ -610,20 +625,10 @@ def run_grid(
     cells: List[CellResult] = []
     i = 0
     for name in names:
-        try:
-            graph: Optional[CSRGraph] = ds.load(
-                name, scale_div=scale_div, seed=seed
-            )
-        except Exception:
-            graph = None  # load failure already captured per repetition
         for algorithm in algos:
             reps = [results[j] for j in range(i, i + repetitions)]
             i += repetitions
-            cells.append(
-                _aggregate(
-                    reps, dataset=name, algorithm=algorithm, graph=graph
-                )
-            )
+            cells.append(_aggregate(reps, dataset=name, algorithm=algorithm))
     runlog.emit(
         "grid_end",
         cells=len(cells),
@@ -733,8 +738,12 @@ def _run_tasks_pool(
     ctx,
 ) -> None:
     queue: deque = deque()
+    sizes: Dict[str, Dict[str, int]] = {}
 
     def settle(task: _Task, rep: _RepResult) -> None:
+        # A repetition lost with its worker carries no graph size; the
+        # pre-warm below knows it.
+        rep = replace(rep, **sizes.get(task.dataset, {}))
         _settle(task, rep, results, jrnl, queue.appendleft, retries)
 
     # Warm every distinct dataset in the parent first: this fills the
@@ -747,9 +756,14 @@ def _run_tasks_pool(
     load_errors: Dict[str, _RepResult] = {}
     for name in dict.fromkeys(t.dataset for t in todo):
         try:
-            ds.load(name, scale_div=spec.scale_div, seed=spec.seed)
+            graph = ds.load(name, scale_div=spec.scale_div, seed=spec.seed)
         except Exception as exc:
             load_errors[name] = _failed_rep(exc)
+        else:
+            sizes[name] = {
+                "num_vertices": graph.num_vertices,
+                "num_edges": graph.num_edges,
+            }
     for t in todo:
         if t.dataset in load_errors:
             settle(t, load_errors[t.dataset])

@@ -10,12 +10,17 @@ exactly one terminal :class:`~repro.serve.request.ColoringResponse`.
 The robustness toolkit, in the order a request meets it:
 
 1. **Admission control** — unknown implementation / dataset / backend
-   and malformed requests are rejected up front; a full queue sheds
-   with ``queue_full``; a closing service sheds with ``shutting_down``.
+   and malformed requests are rejected up front; a closing service
+   sheds with ``shutting_down``.
 2. **Result cache** — a hit on the
    (:func:`~repro.serve.cache.graph_fingerprint`, impl, backend, seed)
-   key answers instantly and bit-identically (status ``ok``,
-   ``source="cache"``).
+   key answers bit-identically (status ``ok``, ``source="cache"``).
+   A dataset request whose graph the
+   :class:`~repro.serve.cache.GraphIndex` knows is probed right at
+   admission and a hit is answered there, on the event loop, with no
+   queue slot, worker or thread; everything else is probed by the
+   worker once the graph is loaded.  Only then does a full queue shed
+   with ``queue_full``.
 3. **Circuit breaker** — per (dataset, backend); open means primary
    compute is skipped and the request degrades immediately.
 4. **Deadline enforcement** — the per-request budget covers queue wait,
@@ -61,7 +66,7 @@ from ..graph.generators.suitesparse import DEFAULT_SCALE_DIV
 from ..harness import datasets as ds
 from ..harness import faults
 from .breaker import BreakerBoard
-from .cache import CachedResult, ResultCache, graph_fingerprint
+from .cache import CachedResult, GraphIndex, ResultCache, graph_fingerprint
 from .degrade import ladder
 from .request import ColoringRequest, ColoringResponse, coloring_sha256
 
@@ -146,6 +151,7 @@ class ColoringServer:
         if self.config.queue_limit < 1:
             raise ValueError("serve queue_limit must be >= 1")
         self.cache = ResultCache(self.config.cache_capacity)
+        self.graph_index = GraphIndex()
         self.breakers = BreakerBoard(
             threshold=self.config.breaker_threshold,
             cooldown_s=self.config.breaker_cooldown_s,
@@ -246,6 +252,8 @@ class ColoringServer:
         if reason is not None:
             self._shed(pend, reason)
             return await future
+        if self._try_admission_hit(pend):
+            return await future
         assert self._queue is not None
         try:
             self._queue.put_nowait(pend)
@@ -256,6 +264,44 @@ class ColoringServer:
             "repro_serve_queue_depth", float(self._queue.qsize())
         )
         return await future
+
+    def _try_admission_hit(self, pend: _Pending) -> bool:
+        """Answer a dataset request from the result cache, on the loop.
+
+        Only a graph key the index has seen can be probed here; a miss
+        is left uncounted because the worker probes the request again
+        (and counts it) after loading the graph.  An already expired
+        budget skips the probe and times out on the queue path."""
+        key = self._graph_key(pend.request)
+        fingerprint = self.graph_index.get(key) if key is not None else None
+        if fingerprint is None or pend.expired():
+            return False
+        request = pend.request
+        entry = self.cache.get(
+            fingerprint,
+            request.impl,
+            pend.backend,
+            request.seed,
+            count_miss=False,
+        )
+        if entry is None:
+            return False
+        self._finish_with_result(pend, entry, status="ok", source="cache")
+        return True
+
+    def _graph_key(
+        self, request: ColoringRequest
+    ) -> Optional[Tuple[str, int, int]]:
+        """The graph-index key of a dataset request; None for inline
+        graphs, which have no name to key them by."""
+        if request.dataset is None:
+            return None
+        return (request.dataset, self._scale_div(request), request.seed)
+
+    def _scale_div(self, request: ColoringRequest) -> int:
+        if request.scale_div is not None:
+            return request.scale_div
+        return self.config.scale_div
 
     def _validate(self, request: ColoringRequest) -> Optional[str]:
         """Cheap admission checks; returns a shed reason or None."""
@@ -334,7 +380,8 @@ class ColoringServer:
                     pend, request.impl, graph, pend.attempts - 1
                 )
             except DeadlineExceeded:
-                if self._try_cache(pend, fingerprint):
+                # Uncounted: this request already counted its miss.
+                if self._try_cache(pend, fingerprint, counted=False):
                     return
                 self._finish(pend, "timeout", reason="deadline")
                 return
@@ -463,16 +510,21 @@ class ColoringServer:
     async def _acquire_graph(self, pend: _Pending) -> Tuple[object, str]:
         """The request's graph plus its fingerprint, off-loop (dataset
         generation and MB-scale hashing don't belong on the event
-        loop)."""
+        loop).  A dataset graph is hashed only the first time its key
+        is seen; the index, updated back on the loop, remembers it."""
         request = pend.request
-        scale_div = (
-            request.scale_div
-            if request.scale_div is not None
-            else self.config.scale_div
+        key = self._graph_key(request)
+        known = self.graph_index.get(key) if key is not None else None
+        graph, fingerprint = await self._off_loop(
+            pend,
+            _load_and_fingerprint,
+            request,
+            self._scale_div(request),
+            known,
         )
-        return await self._off_loop(
-            pend, _load_and_fingerprint, request, scale_div
-        )
+        if key is not None:
+            self.graph_index.put(key, fingerprint)
+        return graph, fingerprint
 
     async def _attempt(
         self, pend: _Pending, impl: str, graph, attempt: int
@@ -504,11 +556,12 @@ class ColoringServer:
 
     # -- terminal responses --------------------------------------------------
 
-    def _try_cache(self, pend: _Pending, fingerprint: str) -> bool:
+    def _try_cache(
+        self, pend: _Pending, fingerprint: str, *, counted: bool = True
+    ) -> bool:
         request = pend.request
-        entry = self.cache.get(
-            fingerprint, request.impl, pend.backend, request.seed
-        )
+        probe = self.cache.get if counted else self.cache.peek
+        entry = probe(fingerprint, request.impl, pend.backend, request.seed)
         if entry is None:
             return False
         self._finish_with_result(pend, entry, status="ok", source="cache")
@@ -592,14 +645,18 @@ class ColoringServer:
 # -- thread-pool bodies (no event-loop state) ---------------------------------
 
 
-def _load_and_fingerprint(request: ColoringRequest, scale_div: int):
+def _load_and_fingerprint(
+    request: ColoringRequest, scale_div: int, fingerprint: Optional[str]
+):
+    """The request's graph and its fingerprint; a ``fingerprint``
+    already known for the graph's key is returned instead of hashing."""
     if request.graph is not None:
         graph = request.graph
     else:
         graph = ds.load(
             request.dataset, scale_div=scale_div, seed=request.seed
         )
-    return graph, graph_fingerprint(graph)
+    return graph, fingerprint or graph_fingerprint(graph)
 
 
 def _blocking_attempt(pend: _Pending, impl: str, graph, attempt: int):

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro._rng import ensure_rng
 from repro.errors import ColoringError, GraphError
@@ -58,6 +61,41 @@ class TestColoringResult:
         )
         text = r.summary()
         assert "x" in text and "g" in text and "1 colors" in text
+
+
+_COLOR_ARRAYS = st.one_of(
+    # Dense ids, with 0 (uncolored) and empty arrays among them.
+    hnp.arrays(np.int64, st.integers(0, 200), elements=st.integers(0, 12)),
+    # Sparse ids up to the int64 limit, negatives included.
+    hnp.arrays(
+        np.int64,
+        st.integers(0, 50),
+        elements=st.integers(-(2**63), 2**63 - 1),
+    ),
+    hnp.arrays(np.int32, st.integers(0, 50), elements=st.integers(-5, 10**6)),
+    st.integers(0, 30).map(lambda n: np.zeros(n, dtype=np.int64)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_COLOR_ARRAYS)
+def test_num_colors_counts_distinct_positive_ids(colors):
+    expected = len(np.unique(colors[colors > 0]))
+    assert ColoringResult(colors=colors).num_colors == expected
+
+
+@pytest.mark.parametrize(
+    "colors, expected",
+    [
+        (np.array([], dtype=np.int64), 0),
+        (np.zeros(5, dtype=np.int64), 0),
+        (np.array([2**62, 1, 2**62, 0]), 2),
+        (np.array([2**63 - 1, 2**63 - 2]), 2),
+        (np.array([7] * 3, dtype=np.uint64), 1),
+    ],
+)
+def test_num_colors_edge_cases(colors, expected):
+    assert ColoringResult(colors=colors).num_colors == expected
 
 
 class TestRegistry:

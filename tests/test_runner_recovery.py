@@ -15,6 +15,7 @@ import pytest
 from repro import log as runlog
 from repro import metrics
 from repro._rng import DEFAULT_SEED
+from repro.harness import datasets as ds
 from repro.harness import faults
 from repro.harness.journal import GridJournal
 from repro.harness.runner import run_grid
@@ -159,3 +160,78 @@ def test_backstop_kills_hung_worker(tmp_path):
     assert not [e for e in retries if e["rep"] == innocent_rep]
     ok_reps = [e["rep"] for e in events if e["event"] == "rep_ok"]
     assert sorted(ok_reps) == list(range(6))
+
+
+_JOBS = [
+    1,
+    pytest.param(
+        2,
+        marks=pytest.mark.skipif(
+            not HAVE_FORK, reason="fork start method unavailable"
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("jobs", _JOBS)
+def test_failing_dataset_is_not_loaded_again_after_the_grid(
+    jobs, tmp_path, monkeypatch
+):
+    """The cells take the graph's size from their repetitions, so a
+    dataset that cannot load is tried once per repetition (jobs=1), or
+    once by the pool's pre-warm, which settles its repetitions without
+    submitting them (jobs=2) — never once more after the grid."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    calls = []
+    original = ds.load
+
+    def counted(name, *args, **kwargs):
+        if name == "no_such_dataset":
+            calls.append(name)
+        return original(name, *args, **kwargs)
+
+    monkeypatch.setattr(ds, "load", counted)
+    repetitions = 3
+    bad, good = run_grid(
+        ["no_such_dataset", "ecology2"],
+        ["cpu.greedy"],
+        scale_div=SMALL_DIV,
+        repetitions=repetitions,
+        jobs=jobs,
+        journal=False,
+    )
+    assert len(calls) == (repetitions if jobs == 1 else 1)
+    assert (bad.status, bad.num_vertices, bad.num_edges) == ("failed", 0, 0)
+    assert good.ok and good.num_vertices > 0
+
+
+@pytest.mark.parametrize("jobs", _JOBS)
+def test_cell_sizes_are_the_graph_sizes(jobs, tmp_path, monkeypatch):
+    """Vertices/Edges of every cell equal the loaded graph's, for a
+    healthy grid, a replayed one, and a cell whose repetitions all
+    failed after the graph loaded."""
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+    names = ["ecology2", "offshore", "G3_circuit"]
+    grid = dict(scale_div=SMALL_DIV, repetitions=2, jobs=jobs)
+    expected = {
+        name: (g.num_vertices, g.num_edges)
+        for name in names
+        for g in [ds.load(name, scale_div=SMALL_DIV, seed=DEFAULT_SEED)]
+    }
+
+    def sizes(cells):
+        return [(c.num_vertices, c.num_edges) for c in cells]
+
+    want = [expected[name] for name in names for _algo in (1, 2)]
+    algos = ["cpu.greedy", "gunrock.hash"]
+    assert sizes(run_grid(names, algos, journal=True, **grid)) == want
+    assert sizes(run_grid(names, algos, resume=True, **grid)) == want
+    # A raising repetition reports its graph's size itself; one lost
+    # with its killed worker (jobs=2 only) takes it from the pre-warm.
+    clauses = ["raise@offshore:gunrock.hash:*:kind=fatal"]
+    if jobs > 1:
+        clauses.append("kill@G3_circuit:cpu.greedy:*")
+    monkeypatch.setenv(faults.ENV_VAR, ";".join(clauses))
+    cells = run_grid(names, algos, journal=False, retries=2, **grid)
+    assert [c.ok for c in cells] == [True, True, True, False, jobs == 1, True]
+    assert sizes(cells) == want
